@@ -1,11 +1,12 @@
 """The three structured Gaussian samplers and their exact covariances.
 
 Every covariance family in the package has a sampler that avoids dense
-factorizations where structure allows: a spectral sampler for low-rank
-updates of a diagonal mode covariance, a local Ornstein-Uhlenbeck recursion
-for bridges with constant curvature, and an eigenbasis sampler for variable
-curvature. Each is checked here against its closed-form covariance. Runs in
-a few seconds.
+factorizations: a spectral sampler for low-rank updates of a diagonal mode
+covariance, and a banded-Cholesky sampler of the tridiagonal precision for
+bridges with constant or varying curvature. The exact Ornstein-Uhlenbeck
+recursion, which shares no code with the banded sampler, checks it on a
+constant curvature. Each is checked here against its closed-form
+covariance. Runs in a few seconds.
 """
 
 import numpy as np
@@ -17,7 +18,9 @@ from klgauss import (
     GaussianSpec,
     PeriodicReference,
     VariablePotential,
+    dirichlet_precision,
     sample_centered,
+    sample_ou_bridge,
 )
 
 DRAWS = 200_000
@@ -25,6 +28,12 @@ DRAWS = 200_000
 
 def rel_fro(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def dense_path_precision(n, potential, eps):
+    h = 1.0 / (n + 1)
+    b = np.broadcast_to(np.asarray(potential, dtype=float), (n,))
+    return h * (dirichlet_precision(n) + np.diag(b / (2.0 * eps**2)))
 
 
 def empirical_cov(draws):
@@ -52,10 +61,9 @@ print()
 # -- OU recursion: bridge with constant curvature ----------------------------
 bref = BridgeReference(24)
 strength, eps = 4.0, 0.4
-ou_spec = GaussianSpec(bref.mean0.copy(), ConstantPotential(strength, eps), bref)
-ou_draws = sample_centered(ou_spec, np.random.default_rng(32), DRAWS)
-exact_const = np.linalg.inv(bref.path_precision(strength, eps))
-print("Ornstein-Uhlenbeck bridge sampler (constant curvature):")
+ou_draws = sample_ou_bridge(strength, eps, 24, np.random.default_rng(32), DRAWS)
+exact_const = np.linalg.inv(dense_path_precision(24, strength, eps))
+print("Ornstein-Uhlenbeck bridge recursion (constant curvature):")
 print(f"  relative Frobenius error vs dense precision solve: "
       f"{rel_fro(empirical_cov(ou_draws), exact_const):.4f}")
 a = np.sqrt(strength) / eps
@@ -65,20 +73,19 @@ print(f"  midpoint variance {empirical_cov(ou_draws)[12, 12]:.5f}, "
       f"closed form 2 sinh(at) sinh(a(1-t)) / (a sinh a) = {analytic_mid:.5f}")
 print()
 
-# -- eigenbasis sampler: bridge with varying curvature ------------------------
+# -- banded Cholesky sampler: bridge with varying curvature -------------------
 b = 1.0 + 0.8 * np.sin(2 * np.pi * bref.t)
-pe_spec = GaussianSpec(bref.mean0.copy(), VariablePotential(b, 0.35), bref)
-pe_draws = sample_centered(pe_spec, np.random.default_rng(33), DRAWS)
-exact_var = np.linalg.inv(bref.path_precision(b, 0.35))
-print("precision-eigenbasis sampler (varying curvature):")
+vp_spec = GaussianSpec(bref.mean0.copy(), VariablePotential(b, 0.35), bref)
+vp_draws = sample_centered(vp_spec, np.random.default_rng(33), DRAWS)
+exact_var = np.linalg.inv(dense_path_precision(24, b, 0.35))
+print("banded-Cholesky bridge sampler (varying curvature):")
 print(f"  relative Frobenius error vs dense precision solve: "
-      f"{rel_fro(empirical_cov(pe_draws), exact_var):.4f}")
+      f"{rel_fro(empirical_cov(vp_draws), exact_var):.4f}")
 print()
 
 # -- consistency: both bridge samplers on the same constant curvature --------
-pe_const = GaussianSpec(bref.mean0.copy(),
-                        VariablePotential(np.full(24, strength), eps), bref)
-pe_const_draws = sample_centered(pe_const, np.random.default_rng(34), DRAWS)
+cp_spec = GaussianSpec(bref.mean0.copy(), ConstantPotential(strength, eps), bref)
+cp_draws = sample_centered(cp_spec, np.random.default_rng(34), DRAWS)
 print("cross-check on a shared constant-curvature target:")
-print(f"  OU recursion vs eigenbasis sample covariances differ by "
-      f"{rel_fro(empirical_cov(pe_const_draws), empirical_cov(ou_draws)):.4f}")
+print(f"  OU recursion vs banded Cholesky sample covariances differ by "
+      f"{rel_fro(empirical_cov(cp_draws), empirical_cov(ou_draws)):.4f}")

@@ -7,8 +7,8 @@ The fitted Gaussian then drives a preconditioned Crank-Nicolson sampler
 whose proposals are centred on the fit instead of the reference, which
 raises acceptance rates and shortens autocorrelation times.
 
-Layering, bottom up: :mod:`~klgauss.reference` (reference measures and
-grids), :mod:`~klgauss.sampling` (exact Gaussian samplers),
+Layering, bottom up: :mod:`~klgauss.sampling` (exact Gaussian samplers),
+:mod:`~klgauss.reference` (reference measures and grids),
 :mod:`~klgauss.gaussians` (covariance parameterizations and dispatch),
 :mod:`~klgauss.objective` (divergence estimates and gradients),
 :mod:`~klgauss.optimize` (projected stochastic descent),
@@ -70,7 +70,7 @@ from .sampling import (
     require_spd,
     sample_finite_rank,
     sample_ou_bridge,
-    sample_precision_eigen,
+    sample_tridiagonal_precision,
 )
 from .optimize import (
     RMConfig,
@@ -159,7 +159,7 @@ __all__ = [
     "sample_double_well",
     "sample_finite_rank",
     "sample_ou_bridge",
-    "sample_precision_eigen",
+    "sample_tridiagonal_precision",
     "scalar_acceptance_asymptote",
     "scalar_dkl_analytic",
     "scalar_sigma_opt",

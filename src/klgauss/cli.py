@@ -257,8 +257,13 @@ def load_config(source: str) -> dict[str, dict[str, object]]:
         raise UsageError("problem.noise must be positive")
     if cfg["fit"].get("rank", 1) < 1:
         raise UsageError("fit.rank must be at least 1")
-    if cfg["fit"].get("smoothing", 1.0) < 0:
-        raise UsageError("fit.smoothing must be non-negative")
+    if cfg["fit"].get("smoothing", 1.0) <= 0:
+        raise UsageError("fit.smoothing must be positive")
+    min_n = {"darcy": 4, "diffusion": 2}.get(kind, 0)  # smallest grids the references take
+    if cfg["problem"].get("n", min_n) < min_n:
+        raise UsageError(f"problem.n must be at least {min_n} for {kind}")
+    if cfg.get("chain", {}).get("steps", 1) < 1:
+        raise UsageError("chain.steps must be at least 1")
     beta = cfg.get("chain", {}).get("beta", 1.0)
     if not 0.0 < beta <= 1.0:
         raise UsageError(f"chain.beta must lie in (0, 1], got {beta}")
@@ -766,6 +771,18 @@ def _check_bridge_kernel() -> tuple[bool, str]:
     return err <= 1e-8, f"max |inv(stencil) - h*kernel| = {err:.3g}"
 
 
+def _check_bridge_banded() -> tuple[bool, str]:
+    ref = BridgeReference(49)
+    cov = np.linalg.inv(ref.h * dirichlet_precision(49))
+    # the sampler's draws are U^{-1} xi; regressing them on xi recovers U^{-1}
+    xi = np.random.default_rng(4).standard_normal((196, 49))
+    u_inv_t = np.linalg.lstsq(xi, ref.sample_centered(np.random.default_rng(4), 196),
+                              rcond=None)[0]
+    errs = [np.abs(c - cov).max() / np.abs(cov).max()
+            for c in (ref.apply_cov(np.eye(49)) / ref.h, u_inv_t.T @ u_inv_t)]
+    return max(errs) <= 1e-10, f"rel errs apply_cov {errs[0]:.3g}, sampler factor {errs[1]:.3g}"
+
+
 def _check_darcy_linear() -> tuple[bool, str]:
     prob = DarcyProblem(64, 0.1, np.zeros(4))
     p = prob.observe(np.full(64, 0.7))
@@ -823,6 +840,7 @@ def cmd_check(args, cfg=None) -> int:
     checks = [
         ("sigma-opt-closed-form", _check_sigma_opt),
         ("bridge-kernel-inverse", _check_bridge_kernel),
+        ("bridge-banded-solve", _check_bridge_banded),
         ("darcy-linear-pressure", _check_darcy_linear),
         ("diffusion-quadrature", _check_diffusion_quadrature),
         ("gradient-matches-fd", _check_gradient_fd),

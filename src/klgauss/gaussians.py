@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solveh_banded
 
 from .errors import NotACovarianceError
 from .reference import BridgeReference, PeriodicReference, ScalarReference
@@ -34,8 +34,7 @@ from .sampling import (
     eigen_factorization,
     require_spd,
     sample_finite_rank,
-    sample_ou_bridge,
-    sample_precision_eigen,
+    sample_tridiagonal_precision,
 )
 
 __all__ = [
@@ -190,10 +189,8 @@ def sample_centered(spec: GaussianSpec, rng: np.random.Generator, size: int) -> 
         return cov.sigma * rng.standard_normal((size, 1))
     if isinstance(cov, FiniteRank):
         return sample_finite_rank(cov.factor, ref, rng, size)
-    if isinstance(cov, ConstantPotential):
-        return sample_ou_bridge(cov.strength, cov.eps, ref.dim, rng, size)
-    precision = ref.path_precision(cov.values, cov.eps)
-    return sample_precision_eigen(precision, rng, size)
+    precision = ref.path_precision_banded(cov_values(cov), cov.eps)
+    return sample_tridiagonal_precision(precision, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +214,7 @@ def gamma_quad(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
         v = ref.coeffs(u)[..., : cov.rank]
         gm = _finite_rank_gamma(cov, ref)
         return np.einsum("...i,ij,...j->...", v, gm, v)
-    if isinstance(cov, ConstantPotential):
-        return (cov.strength / (2.0 * cov.eps**2)) * ref.h * np.sum(u * u, axis=-1)
-    return (0.5 / cov.eps**2) * ref.h * np.sum(cov.values * u * u, axis=-1)
+    return (0.5 / cov.eps**2) * ref.h * np.sum(cov_values(cov) * u * u, axis=-1)
 
 
 def cov_param_derivative(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
@@ -267,24 +262,6 @@ def finite_rank_coefficient_derivative(factor: np.ndarray, coeff: np.ndarray) ->
 # preconditioned covariance updates
 
 
-_SMOOTHER_CACHE: dict[tuple[int, float], tuple[np.ndarray, tuple]] = {}
-
-
-def _potential_smoother(n: int, h: float, smoothing: float) -> tuple:
-    """Cholesky factor of ``smoothing * (-d^2/dt^2)`` (Neumann left, Dirichlet right)."""
-    key = (n, smoothing)
-    if key not in _SMOOTHER_CACHE:
-        mat = np.zeros((n, n))
-        idx = np.arange(n)
-        mat[idx, idx] = 2.0
-        mat[0, 0] = 1.0
-        mat[idx[:-1], idx[:-1] + 1] = -1.0
-        mat[idx[:-1] + 1, idx[:-1]] = -1.0
-        mat *= smoothing / h**2
-        _SMOOTHER_CACHE[key] = (mat, cho_factor(mat))
-    return _SMOOTHER_CACHE[key][1]
-
-
 def descent_direction_cov(spec: GaussianSpec, cov_term: np.ndarray | float):
     """Apply the family's preconditioner to the raw covariance gradient term.
 
@@ -298,9 +275,9 @@ def descent_direction_cov(spec: GaussianSpec, cov_term: np.ndarray | float):
         return float(cov_term)
     if isinstance(cov, FiniteRank):
         return ref.lam[ref.n_modes - 1] * np.asarray(cov_term, dtype=float)
-    chol = _potential_smoother(ref.dim, ref.h, cov.smoothing)
-    smoothed = cho_solve(chol, np.asarray(cov_term, dtype=float))
-    return smoothed + cov.values
+    smoother = np.array([np.full(ref.dim, -1.0), np.full(ref.dim, 2.0)])  # banded -d^2/dt^2
+    smoother[1, 0] = 1.0  # insulated (Neumann) left end; the right end stays pinned
+    return solveh_banded(cov.smoothing / ref.h**2 * smoother, cov_term) + cov.values
 
 
 def cov_values(cov: CovParam) -> np.ndarray | float:

@@ -38,7 +38,8 @@ __all__ = [
     "acceptance_lower_bound",
 ]
 
-_CHUNK = 8192
+_CHUNK = 8192  # most innovation rows drawn at once
+_BLOCK_ELEMENTS = 1 << 20  # most innovation values drawn at once, whatever the dim
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,7 @@ def run_chain(
         raise ValueError(f"probe index {probe_index} out of range for dim {dim}")
     burn = int(config.burn_frac * config.steps)
     noise_rng, accept_rng = rng.spawn(2)
+    chunk = min(_CHUNK, max(1, _BLOCK_ELEMENTS // dim))
 
     state = mean.copy()
     pot_state = float(np.asarray(potential(state[None]))[0])
@@ -151,7 +153,7 @@ def run_chain(
         run_start, run_len = 1, 0
         step = 0
         while step < config.steps:
-            block = min(_CHUNK, config.steps - step)
+            block = min(chunk, config.steps - step)
             xi = sampler(noise_rng, block)
             log_u = np.log(accept_rng.random(block))
             proposals = mean + xi
@@ -175,7 +177,7 @@ def run_chain(
         contract = np.sqrt(1.0 - config.beta**2)
         step = 0
         while step < config.steps:
-            block = min(_CHUNK, config.steps - step)
+            block = min(chunk, config.steps - step)
             xi = sampler(noise_rng, block)
             log_u = np.log(accept_rng.random(block))
             for i in range(block):

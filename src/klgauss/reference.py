@@ -10,7 +10,8 @@ Three reference families cover everything this package ships:
   ``delta / (2 pi k)**2`` for wavenumber ``k``.
 * :class:`BridgeReference` -- a Gaussian on paths pinned to zero at both
   ends of [0, 1] whose precision operator is ``-(1/2) d^2/dt^2``,
-  discretised by centred differences on the interior nodes.
+  discretised by centred differences on the interior nodes; its banded
+  tridiagonal stencil makes every operation O(n).
 
 Each reference owns its grid, its quadrature weight and the handful of
 operations the rest of the package needs: exact centred sampling,
@@ -22,7 +23,9 @@ gradients exact adjoints of discrete objectives.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve_banded, cholesky_banded
+
+from .sampling import sample_tridiagonal_precision
 
 __all__ = [
     "ScalarReference",
@@ -209,27 +212,30 @@ class BridgeReference:
 
     States are values at the ``n`` interior nodes ``t_i = i/(n+1)``; both
     endpoints are held at zero for centred fields. The covariance kernel is
-    ``2 (min(s, t) - s t)`` -- twice the standard Brownian bridge -- and
-    centred samples are drawn exactly by scaling a cumulative-sum bridge.
-    The path-measure precision matrix for the node Gaussian is
-    ``quad_weight * precision`` (the stencil approximates the operator; the
-    density on node values picks up the quadrature weight).
+    ``2 (min(s, t) - s t)`` -- twice the standard Brownian bridge. The
+    stencil ``S`` of :func:`dirichlet_precision` is held in upper banded
+    form with its banded Cholesky factor. The node Gaussian has precision
+    ``h S`` (the density on node values picks up the quadrature weight);
+    centred samples are drawn from it exactly by the banded sampler.
 
     Parameters
     ----------
     n : int
-        Number of interior nodes.
+        Number of interior nodes, at least two.
     mean0 : ndarray, optional
         Reference mean on the interior nodes; defaults to zero. The
         conditioned-diffusion problem passes the straight line ``t``.
     """
 
     def __init__(self, n: int, mean0: np.ndarray | None = None) -> None:
+        if n < 2:
+            raise ValueError(f"need at least two interior nodes, got {n}")
         self.n = int(n)
         self.h = 1.0 / (n + 1)
         self.t = np.arange(1, n + 1) * self.h
-        self.precision = dirichlet_precision(n)
-        self._chol = cho_factor(self.precision)
+        self._diag, self._off = 1.0 / self.h**2, -0.5 / self.h**2
+        self._stencil = np.array([np.full(n, self._off), np.full(n, self._diag)])
+        self._chol = cholesky_banded(self._stencil)
         if mean0 is None:
             mean0 = np.zeros(n)
         mean0 = np.asarray(mean0, dtype=float)
@@ -249,29 +255,28 @@ class BridgeReference:
         return self.h * np.sum(a * b, axis=-1)
 
     def sample_centered(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        steps = rng.standard_normal((size, self.n + 1)) * np.sqrt(self.h)
-        walk = np.cumsum(steps, axis=-1)
-        bridge = walk[:, : self.n] - np.outer(walk[:, -1], self.t)
-        return np.sqrt(2.0) * bridge
+        return sample_tridiagonal_precision(self.h * self._stencil, rng, size)
 
     def apply_cov(self, field: np.ndarray) -> np.ndarray:
         """Solve the precision stencil: node values of the covariance image."""
-        return cho_solve(self._chol, np.asarray(field, dtype=float))
+        f = np.asarray(field, dtype=float)
+        return cho_solve_banded((self._chol, False), f.reshape(-1, self.n).T).T.reshape(f.shape)
 
     def precision_apply(self, field: np.ndarray) -> np.ndarray:
-        return np.asarray(field, dtype=float) @ self.precision
+        """Apply the stencil ``S`` along the last axis, zero beyond both ends."""
+        f = np.asarray(field, dtype=float)
+        padded = np.pad(f, [(0, 0)] * (f.ndim - 1) + [(1, 1)])
+        return self._diag * f + self._off * (padded[..., :-2] + padded[..., 2:])
 
     def cm_norm_sq(self, v: np.ndarray) -> float | np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return self.h * np.sum(v * (v @ self.precision), axis=-1)
+        return self.h * np.sum(v * self.precision_apply(v), axis=-1)
 
-    def path_precision(self, potential: np.ndarray | float, eps: float) -> np.ndarray:
-        """Precision matrix of the node Gaussian with an added potential term.
+    def path_precision_banded(self, potential: np.ndarray | float, eps: float) -> np.ndarray:
+        """``h (S + diag(b/(2 eps^2)))`` in upper banded form ``(2, n)``.
 
-        For potential ``b`` (scalar or per-node) and temperature ``eps`` the
-        measure has inverse covariance ``-(1/2) d^2/dt^2 + b/(2 eps^2)``;
-        the matrix returned includes the quadrature weight so that its
-        inverse is the node covariance.
+        The node precision (quadrature weight included) of the bridge measure
+        with inverse covariance ``-(1/2) d^2/dt^2 + b/(2 eps^2)``, ``b`` scalar or per node.
         """
-        b = np.broadcast_to(np.asarray(potential, dtype=float), (self.n,))
-        return self.h * (self.precision + np.diag(b / (2.0 * eps**2)))
+        out = self.h * self._stencil
+        out[1] += self.h * np.asarray(potential, dtype=float) / (2.0 * eps**2)
+        return out

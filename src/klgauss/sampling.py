@@ -6,12 +6,11 @@ Three constructions, all exact in distribution on the grid:
   whose first ``K`` coefficients have covariance ``B @ B`` (``B`` a
   symmetric positive-definite factor) and whose tail keeps the reference
   amplitudes.
+* :func:`sample_tridiagonal_precision` -- every bridge measure: banded Cholesky
+  factor of its tridiagonal precision and one banded triangular solve, O(n).
 * :func:`sample_ou_bridge` -- pinned Ornstein-Uhlenbeck path for a
   constant potential: a one-step autoregressive recursion in ``t`` plus a
-  sinh-profile endpoint correction.
-* :func:`sample_precision_eigen` -- eigendecomposition of an explicit
-  SPD precision matrix; factorizations are cached by content hash so a
-  parameter that has not changed costs one matmul per batch.
+  sinh-profile endpoint correction; the banded sampler's independent check.
 
 :func:`reweighted_expectation` estimates expectations under a
 variable-potential bridge by importance-reweighting constant-potential
@@ -23,12 +22,15 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
 
 from .errors import DegenerateWeightsError, NotACovarianceError
-from .reference import BridgeReference, PeriodicReference
+
+if TYPE_CHECKING:  # reference.py imports this module for its own sampler
+    from .reference import PeriodicReference
 
 __all__ = [
     "EigenFactorization",
@@ -37,7 +39,7 @@ __all__ = [
     "eigen_factorization",
     "sample_finite_rank",
     "sample_ou_bridge",
-    "sample_precision_eigen",
+    "sample_tridiagonal_precision",
     "reweighted_expectation",
     "indexed_sample",
 ]
@@ -186,35 +188,31 @@ def sample_ou_bridge(
     a = np.sqrt(strength) / eps
     rho = np.exp(-a * h)
     step_sd = np.sqrt((1.0 - rho**2) / a)
+    from scipy.signal import lfilter  # here: it takes most of a second to import
     noise = step_sd * rng.standard_normal((size, n + 1))
-    z = np.empty((size, n + 1))
-    z[:, 0] = noise[:, 0]
-    for k in range(1, n + 1):
-        z[:, k] = rho * z[:, k - 1] + noise[:, k]
+    z = lfilter([1.0], [1.0, -rho], noise, axis=-1)  # z_k = rho z_{k-1} + noise_k
     t = np.arange(1, n + 1) * h
     profile = _sinh_ratio(a, t)
     return z[:, :n] - np.outer(z[:, n], profile)
 
 
-def sample_precision_eigen(
-    precision: np.ndarray,
+def sample_tridiagonal_precision(
+    banded: np.ndarray,
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    """Draw from the Gaussian with the given SPD precision matrix.
+    """Centred draws, shape ``(size, n)``, with tridiagonal SPD precision ``P``.
 
-    Uses ``u = X diag(mu^{-1/2}) xi`` with ``(mu, X)`` the eigenpairs of the
-    precision; the factorization is cached across calls with the same matrix
-    content.
+    ``banded`` is ``P`` in upper banded form ``(2, n)``, superdiagonal over
+    diagonal. With ``P = U' U`` by banded Cholesky the draws are ``U^{-1} xi``
+    for ``xi = rng.standard_normal((size, n))``, so their covariance is ``P^{-1}``.
     """
-    fact = eigen_factorization(np.asarray(precision, dtype=float))
-    if fact.values.min() <= 0.0:
-        raise NotACovarianceError(
-            "precision matrix is not positive definite; "
-            f"smallest eigenvalue is {float(fact.values.min()):.6g}"
-        )
-    xi = rng.standard_normal((size, fact.values.shape[0]))
-    return (xi / np.sqrt(fact.values)) @ fact.vectors.T
+    try:
+        factor = cholesky_banded(banded)
+    except LinAlgError as exc:
+        raise NotACovarianceError(f"precision is not positive definite: {exc}") from exc
+    xi = rng.standard_normal((size, factor.shape[1]))
+    return solve_banded((0, 1), factor, xi.T, check_finite=False).T
 
 
 def reweighted_expectation(

@@ -40,9 +40,11 @@ from klgauss import (
     run_chain,
     sample_centered,
     sample_double_well,
+    sample_ou_bridge,
     scalar_sigma_opt,
     synthesize_darcy_data,
     DarcyProblem,
+    dirichlet_precision,
 )
 from klgauss.cli import Setup, load_config
 
@@ -69,6 +71,13 @@ def rel_fro(a, b):
 def sample_cov(draws):
     c = draws - draws.mean(axis=0)
     return c.T @ c / len(draws)
+
+
+def dense_path_precision(n, potential, eps):
+    """Dense ``h (S + diag(b/(2 eps^2)))`` built from the dense stencil oracle."""
+    h = 1.0 / (n + 1)
+    b = np.broadcast_to(np.asarray(potential, dtype=float), (n,))
+    return h * (dirichlet_precision(n) + np.diag(b / (2.0 * eps**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +326,24 @@ def test_c07_sampler_covariance():
     exact = modes.T @ coeff_cov @ modes
     results["finite-rank"] = rel_fro(sample_cov(draws), exact)
 
-    # OU bridge sampler vs dense precision solve (constant potential)
+    # OU bridge recursion vs dense precision solve (constant potential)
     bref = BridgeReference(24)
     strength, eps = 4.0, 0.4
-    ou_spec = GaussianSpec(bref.mean0.copy(), ConstantPotential(strength, eps),
-                           bref)
-    ou_draws = sample_centered(ou_spec, np.random.default_rng(72), n_draws)
-    exact_const = np.linalg.inv(bref.path_precision(strength, eps))
+    ou_draws = sample_ou_bridge(strength, eps, 24, np.random.default_rng(72), n_draws)
+    exact_const = np.linalg.inv(dense_path_precision(24, strength, eps))
     results["ou-bridge"] = rel_fro(sample_cov(ou_draws), exact_const)
 
-    # precision-eigen sampler vs dense solve (variable potential)
+    # banded Cholesky sampler vs dense precision solve (variable potential)
     b = 1.0 + 0.8 * np.sin(2 * np.pi * bref.t)
-    pe_spec = GaussianSpec(bref.mean0.copy(), VariablePotential(b, 0.35), bref)
-    pe_draws = sample_centered(pe_spec, np.random.default_rng(73), n_draws)
-    exact_var = np.linalg.inv(bref.path_precision(b, 0.35))
-    results["precision-eigen"] = rel_fro(sample_cov(pe_draws), exact_var)
+    vp_spec = GaussianSpec(bref.mean0.copy(), VariablePotential(b, 0.35), bref)
+    vp_draws = sample_centered(vp_spec, np.random.default_rng(73), n_draws)
+    exact_var = np.linalg.inv(dense_path_precision(24, b, 0.35))
+    results["banded"] = rel_fro(sample_cov(vp_draws), exact_var)
 
-    # the two bridge samplers must agree on a constant potential
-    pe_const = GaussianSpec(bref.mean0.copy(),
-                            VariablePotential(np.full(24, strength), eps), bref)
-    pe_const_draws = sample_centered(pe_const, np.random.default_rng(74), n_draws)
-    results["ou-vs-eigen"] = rel_fro(sample_cov(pe_const_draws),
-                                     sample_cov(ou_draws))
+    # the banded sampler and the OU recursion must agree on a constant potential
+    cp_spec = GaussianSpec(bref.mean0.copy(), ConstantPotential(strength, eps), bref)
+    cp_draws = sample_centered(cp_spec, np.random.default_rng(74), n_draws)
+    results["ou-vs-banded"] = rel_fro(sample_cov(cp_draws), sample_cov(ou_draws))
 
     ok = max(results.values()) <= 0.05
     assert report(

@@ -119,6 +119,23 @@ def test_usage_errors_exit_2(tmp_path):
     assert main([]) == 2  # no subcommand, no --check
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[problem]\nkind = diffusion\n[fit]\nfamily = variable-potential\nsmoothing = 0\n",
+     "fit.smoothing must be positive"),
+    (TINY_SCALAR.replace("steps = 4000", "steps = 0"), "chain.steps must be at least 1"),
+    ("[problem]\nkind = darcy\nn = 3\n[fit]\nfamily = finite-rank\n",
+     "problem.n must be at least 4"),
+    ("[problem]\nkind = diffusion\nn = 1\n[fit]\nfamily = constant-potential\n",
+     "problem.n must be at least 2"),
+])
+def test_invalid_config_exits_2(tmp_path, capsys, text, message):
+    assert main(["compare", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", [
     GaussianSpec(np.array([0.3]), ScalarVariance(0.17), ScalarReference()),
     GaussianSpec(np.linspace(-1, 1, 12), FiniteRank(np.array([[0.5, 0.1], [0.1, 0.3]])),
@@ -277,5 +294,5 @@ def test_scalar_analytic_table(tmp_path, capsys):
 def test_check_battery(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
     assert "FAIL" not in out

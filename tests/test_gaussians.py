@@ -14,6 +14,7 @@ from klgauss import (
     ScalarVariance,
     VariablePotential,
     cov_param_derivative,
+    dirichlet_precision,
     descent_direction_cov,
     finite_rank_coefficient_derivative,
     gamma_quad,
@@ -22,6 +23,12 @@ from klgauss import (
     phi_nu,
     sample_centered,
 )
+
+
+def dense_path_precision(ref, potential, eps):
+    """Dense ``h (S + diag(b/(2 eps^2)))`` built from the dense stencil oracle."""
+    b = np.broadcast_to(np.asarray(potential, dtype=float), (ref.dim,))
+    return ref.h * (dirichlet_precision(ref.dim) + np.diag(b / (2.0 * eps**2)))
 
 
 def scalar_spec(m=0.1, sigma=0.4):
@@ -118,9 +125,9 @@ def test_gamma_quad_bridge_dense_identity():
         spec = bridge_spec(variable=variable)
         ref, cov = spec.ref, spec.cov
         u = np.random.default_rng(4).standard_normal((6, ref.dim))
-        prec_fit = ref.path_precision(
-            cov.values if variable else cov.strength, cov.eps)
-        prec_ref = ref.h * ref.precision
+        prec_fit = dense_path_precision(
+            ref, cov.values if variable else cov.strength, cov.eps)
+        prec_ref = ref.h * dirichlet_precision(ref.dim)
         want = np.einsum("bi,ij,bj->b", u, prec_fit - prec_ref, u)
         assert np.allclose(gamma_quad(spec, u), want)
 
@@ -206,8 +213,8 @@ def test_phi_nu_is_negative_log_density_ratio():
     ref = spec.ref
     u = np.random.default_rng(10).standard_normal((5, ref.dim))
     want = dense_log_density_diff(
-        u, spec.mean, ref.path_precision(spec.cov.values, spec.cov.eps),
-        ref.mean0, ref.h * ref.precision)
+        u, spec.mean, dense_path_precision(ref, spec.cov.values, spec.cov.eps),
+        ref.mean0, ref.h * dirichlet_precision(ref.dim))
     assert np.allclose(phi_nu(spec, u), -want)
     assert np.allclose(make_gaussian_potential(spec)(u), phi_nu(spec, u))
 
@@ -261,6 +268,6 @@ def test_sample_centered_dispatch_covariances():
 
     spec = bridge_spec(n=10, variable=True)
     draws = sample_centered(spec, np.random.default_rng(1), 150_000)
-    exact = np.linalg.inv(spec.ref.path_precision(spec.cov.values, spec.cov.eps))
+    exact = np.linalg.inv(dense_path_precision(spec.ref, spec.cov.values, spec.cov.eps))
     emp = draws.T @ draws / len(draws)
     assert np.linalg.norm(emp - exact) / np.linalg.norm(exact) < 0.03

@@ -121,6 +121,29 @@ def test_run_chain_spans_batch_boundaries():
     assert np.allclose(got.node_mean, want["node_mean"])
 
 
+@pytest.mark.parametrize("beta", [0.6, 1.0])
+def test_run_chain_independent_of_block_budget(beta, monkeypatch):
+    # the innovation block size follows an element budget; it must not move the chain
+    import klgauss.mcmc as mcmc
+
+    ref = BridgeReference(32)
+    config = ChainConfig(steps=2500, beta=beta, thin=10, burn_frac=0.1)
+
+    def run():
+        return run_chain(soft_potential, ref.mean0, ref.sample_centered, config,
+                         np.random.default_rng(19))
+
+    big = run()  # 2500 steps in one block
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 97 * ref.dim)
+    small = run()  # 25 full blocks of 97 rows and a partial one
+    for field in ("steps", "burn", "acceptance_rate", "nonfinite_proposals"):
+        assert getattr(small, field) == getattr(big, field)
+    for field in ("probe_steps", "probe", "accepts_cum", "node_mean", "node_var",
+                  "final_state"):
+        assert np.array_equal(getattr(small, field), getattr(big, field))
+    assert 0.0 < big.acceptance_rate < 1.0
+
+
 def test_zero_potential_accepts_everything_and_preserves_marginals():
     n = 8
     ref = BridgeReference(n)

@@ -140,14 +140,33 @@ def test_bridge_cm_norm_whitens_samples():
     assert ref.cm_norm_sq(draws).mean() == pytest.approx(12.0, rel=0.02)
 
 
+def dense_from_banded(banded):
+    return np.diag(banded[1]) + np.diag(banded[0, 1:], 1) + np.diag(banded[0, 1:], -1)
+
+
 def test_bridge_path_precision_includes_quad_weight():
     ref = BridgeReference(9)
     eps = 0.5
-    p = ref.path_precision(3.0, eps)
-    assert np.abs(p - ref.h * (ref.precision + (3.0 / (2 * eps**2)) * np.eye(9))).max() < 1e-12
+    p = dense_from_banded(ref.path_precision_banded(3.0, eps))
+    dense = dirichlet_precision(9)
+    assert np.abs(p - ref.h * (dense + (3.0 / (2 * eps**2)) * np.eye(9))).max() < 1e-12
     b = np.arange(1.0, 10.0)
-    diag_shift = np.diag(ref.path_precision(b, eps)) - np.diag(ref.h * ref.precision)
-    assert np.allclose(diag_shift, ref.h * b / (2 * eps**2))
+    p = dense_from_banded(ref.path_precision_banded(b, eps))
+    assert np.abs(p - ref.h * (dense + np.diag(b / (2 * eps**2)))).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(13,), (4, 13)])
+def test_bridge_stencil_ops_match_dense_precision(shape):
+    ref = BridgeReference(13)
+    dense = dirichlet_precision(13)
+    v = np.random.default_rng(6).standard_normal(shape)
+    rows = np.atleast_2d(v)
+    solve = np.linalg.solve(dense, rows.T).T.reshape(shape)
+    assert ref.apply_cov(v).shape == shape
+    assert np.abs(ref.apply_cov(v) - solve).max() < 1e-12
+    assert np.abs(ref.precision_apply(v) - (rows @ dense).reshape(shape)).max() < 1e-9
+    quad = ref.h * np.einsum("bi,ij,bj->b", rows, dense, rows)
+    assert np.allclose(ref.cm_norm_sq(v), quad.reshape(shape[:-1]), rtol=1e-12, atol=0)
 
 
 def test_bridge_mean0_handling():
@@ -157,3 +176,5 @@ def test_bridge_mean0_handling():
     assert np.allclose(BridgeReference(9).mean0, 0.0)
     with pytest.raises(ValueError):
         BridgeReference(9, mean0=np.zeros(5))
+    with pytest.raises(ValueError):
+        BridgeReference(1)

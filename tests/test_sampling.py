@@ -8,13 +8,14 @@ from klgauss import (
     DegenerateWeightsError,
     NotACovarianceError,
     PeriodicReference,
+    dirichlet_precision,
     eigen_factorization,
     indexed_sample,
     require_spd,
     reweighted_expectation,
     sample_finite_rank,
     sample_ou_bridge,
-    sample_precision_eigen,
+    sample_tridiagonal_precision,
 )
 
 
@@ -33,6 +34,13 @@ def ou_kernel(t, strength, eps):
 
 def rel_frobenius(emp, exact):
     return np.linalg.norm(emp - exact) / np.linalg.norm(exact)
+
+
+def dense_path_precision(n, potential, eps):
+    """Dense ``h (S + diag(b/(2 eps^2)))`` built from the dense stencil oracle."""
+    h = 1.0 / (n + 1)
+    b = np.broadcast_to(np.asarray(potential, dtype=float), (n,))
+    return h * (dirichlet_precision(n) + np.diag(b / (2.0 * eps**2)))
 
 
 def test_eigen_factorization_roundtrip_and_cache():
@@ -87,17 +95,36 @@ def test_ou_bridge_covariance_matches_green_function():
     assert rel_frobenius(draws.T @ draws / len(draws), ou_kernel(t, strength, eps)) < 0.03
 
 
-def test_ou_bridge_agrees_with_precision_eigen():
+def test_ou_bridge_agrees_with_banded_sampler():
     # same constant-potential measure through two unrelated constructions
     n, strength, eps = 20, 2.5, 0.3
     ref = BridgeReference(n)
-    prec = ref.path_precision(strength, eps)
+    prec = dense_path_precision(n, strength, eps)
     a = sample_ou_bridge(strength, eps, n, np.random.default_rng(21), 120_000)
-    b = sample_precision_eigen(prec, np.random.default_rng(22), 120_000)
+    b = sample_tridiagonal_precision(ref.path_precision_banded(strength, eps),
+                                     np.random.default_rng(22), 120_000)
     ca = a.T @ a / len(a)
     cb = b.T @ b / len(b)
     assert rel_frobenius(ca, np.linalg.inv(prec)) < 0.03
     assert rel_frobenius(ca, cb) < 0.05
+
+
+def test_ou_bridge_recursion_matches_loop():
+    # the filtered recursion against the plain per-node loop it replaces
+    strength, eps, n, size = 3.0, 0.2, 30, 7
+    got = sample_ou_bridge(strength, eps, n, np.random.default_rng(13), size)
+    h = 1.0 / (n + 1)
+    a = np.sqrt(strength) / eps
+    rho = np.exp(-a * h)
+    rng = np.random.default_rng(13)
+    noise = np.sqrt((1.0 - rho**2) / a) * rng.standard_normal((size, n + 1))
+    z = np.empty_like(noise)
+    z[:, 0] = noise[:, 0]
+    for k in range(1, n + 1):
+        z[:, k] = rho * z[:, k - 1] + noise[:, k]
+    t = np.arange(1, n + 1) * h
+    profile = np.sinh(a * t) / np.sinh(a)
+    assert np.allclose(got, z[:, :n] - np.outer(z[:, n], profile), rtol=0, atol=1e-13)
 
 
 def test_ou_bridge_stable_for_stiff_potential():
@@ -115,14 +142,24 @@ def test_ou_bridge_validation():
         sample_ou_bridge(1.0, 0.0, 8, rng, 2)
 
 
-def test_precision_eigen_covariance_and_validation():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 5))
-    prec = a @ a.T + 2.0 * np.eye(5)
-    draws = sample_precision_eigen(prec, np.random.default_rng(5), 200_000)
-    assert rel_frobenius(draws.T @ draws / len(draws), np.linalg.inv(prec)) < 0.03
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tridiagonal_sampler_covariance_and_validation(seed):
+    # draws are U^{-1} xi for xi = standard_normal((size, n)); regressing them on
+    # xi recovers U^{-1}, so the covariance is checked exactly, not by sampling
+    rng = np.random.default_rng(seed)
+    n, eps = int(rng.integers(2, 30)), float(rng.uniform(0.05, 1.0))
+    b = rng.uniform(0.01, 10.0, n)
+    banded = BridgeReference(n).path_precision_banded(b, eps)
+    size = 4 * n
+    draws = sample_tridiagonal_precision(banded, np.random.default_rng(seed + 10), size)
+    xi = np.random.default_rng(seed + 10).standard_normal((size, n))
+    u_inv_t = np.linalg.lstsq(xi, draws, rcond=None)[0]
+    exact = np.linalg.inv(dense_path_precision(n, b, eps))
+    assert draws.shape == (size, n)
+    assert rel_frobenius(u_inv_t.T @ u_inv_t, exact) < 1e-10
+    not_spd = np.array([[0.0, -2.0, -2.0], [1.0, 1.0, 1.0]])
     with pytest.raises(NotACovarianceError):
-        sample_precision_eigen(np.diag([1.0, -2.0]), rng, 4)
+        sample_tridiagonal_precision(not_spd, rng, 4)
 
 
 def test_reweighted_expectation_constant_potential_is_plain_mean():
@@ -139,7 +176,7 @@ def test_reweighted_expectation_matches_exact_marginal():
     n, eps = 16, 0.35
     ref = BridgeReference(n)
     b = 1.0 + 0.8 * np.sin(2 * np.pi * ref.t)  # gently varying potential
-    exact = np.linalg.inv(ref.path_precision(b, eps))
+    exact = np.linalg.inv(dense_path_precision(n, b, eps))
     res = reweighted_expectation(
         lambda z: z[:, n // 2] ** 2, b, eps, np.random.default_rng(9), 400_000,
     )
