@@ -9,7 +9,7 @@ raises acceptance rates and shortens autocorrelation times.
 
 Layering, bottom up: :mod:`~klgauss.sampling` (exact Gaussian samplers),
 :mod:`~klgauss.reference` (reference measures and grids),
-:mod:`~klgauss.gaussians` (covariance parameterizations and dispatch),
+:mod:`~klgauss.gaussians` (one class per covariance family),
 :mod:`~klgauss.objective` (divergence estimates and gradients),
 :mod:`~klgauss.optimize` (projected stochastic descent),
 :mod:`~klgauss.problems` (target measures), :mod:`~klgauss.mcmc` (chains
@@ -29,11 +29,12 @@ from .gaussians import (
     VariablePotential,
     cov_param_derivative,
     descent_direction_cov,
-    finite_rank_coefficient_derivative,
     gamma_quad,
     log_density_ratio_centered,
     make_gaussian_potential,
     phi_nu,
+    project_box,
+    project_spd,
     sample_centered,
 )
 from .mcmc import (
@@ -61,10 +62,8 @@ from .objective import (
     scalar_sigma_opt,
 )
 from .sampling import (
-    EigenFactorization,
     FieldSample,
     ReweightedExpectation,
-    eigen_factorization,
     indexed_sample,
     reweighted_expectation,
     require_spd,
@@ -76,8 +75,6 @@ from .optimize import (
     RMConfig,
     RMTrace,
     StepSchedule,
-    project_box,
-    project_spd,
     rm_minimize,
 )
 from .problems import (
@@ -118,7 +115,6 @@ __all__ = [
     "RMTrace",
     "ScalarDoubleWell",
     "ScalarReference",
-    "EigenFactorization",
     "FieldSample",
     "ReweightedExpectation",
     "ScalarVariance",
@@ -130,11 +126,9 @@ __all__ = [
     "darcy_true_field",
     "descent_direction_cov",
     "dirichlet_precision",
-    "eigen_factorization",
     "estimate_dkl",
     "estimate_gradients",
     "expected_acceptance",
-    "finite_rank_coefficient_derivative",
     "fit_chain",
     "fourier_eigenvalues",
     "fourier_mode",

@@ -41,26 +41,29 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateWeightsError, NonFiniteObjectiveError, NotACovarianceError
 from .gaussians import (
+    FAMILIES,
     ConstantPotential,
     FiniteRank,
     GaussianSpec,
     ScalarVariance,
     VariablePotential,
+    project_spd,
     sample_centered,
 )
 from .mcmc import (
     ChainConfig,
     ChainDiag,
     autocovariance,
+    fit_chain,
     iact,
     reference_chain,
-    residual_potential,
     run_chain,
 )
 from .objective import (
@@ -70,7 +73,7 @@ from .objective import (
     scalar_dkl_analytic,
     scalar_sigma_opt,
 )
-from .optimize import RMConfig, StepSchedule, project_spd, rm_minimize
+from .optimize import RMConfig, StepSchedule, rm_minimize
 from .problems import (
     DarcyProblem,
     DiffusionProblem,
@@ -331,12 +334,15 @@ class Setup:
             obs = tuple(prob.get("obs_points", (0.2, 0.4, 0.6, 0.8)))
             pressures = (float(prob.get("p_lo", 0.0)), float(prob.get("p_hi", 2.0)))
             self.ref = PeriodicReference(n, scale)
+            rank = int(fit.get("rank", 2))
+            if rank > self.ref.n_modes:
+                raise UsageError(f"fit.rank {rank} exceeds the {self.ref.n_modes} modes "
+                                 f"retained on a grid of {n} points")
             data_rng = np.random.default_rng([seed, _DATA_STREAM])
             self.true_field, self.data = synthesize_darcy_data(
                 n, noise, data_rng, obs, pressures)
             self.problem = DarcyProblem(n, noise, self.data, obs, pressures)
             mean0 = np.zeros(n)
-            rank = int(fit.get("rank", 2))
             cov0 = FiniteRank(np.diag(self.ref.lam[:rank]))
         else:
             eps = float(prob.get("eps", 0.05))
@@ -380,21 +386,6 @@ class Setup:
             return self.chain_config.probe_index
         return self.ref.dim // 2
 
-    def informed_chain(self, spec: GaussianSpec, rng: np.random.Generator,
-                       zero_potential: bool = False) -> ChainDiag:
-        pot = residual_potential(self.problem, spec)
-        if zero_potential:
-            pot = _zero_potential
-        def sampler(rng_: np.random.Generator, size: int) -> np.ndarray:
-            return sample_centered(spec, rng_, size)
-        return run_chain(pot, spec.mean, sampler, self.chain_config, rng)
-
-    def reference_chain(self, rng: np.random.Generator,
-                        zero_potential: bool = False) -> ChainDiag:
-        pot = _zero_potential if zero_potential else self.problem.phi
-        return run_chain(pot, self.ref.mean0, self.ref.sample_centered,
-                         self.chain_config, rng)
-
 
 def _zero_potential(fields: np.ndarray) -> np.ndarray:
     return np.zeros(np.asarray(fields).shape[0])
@@ -405,6 +396,8 @@ def _zero_potential(fields: np.ndarray) -> np.ndarray:
 
 
 def _fmt(x: object) -> str:
+    if isinstance(x, np.ndarray):
+        return ",".join(_fmt(v) for v in x)
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
     return str(x)
@@ -431,30 +424,18 @@ def save_gaussian_spec(path: Path, spec: GaussianSpec) -> None:
     else:
         lines.append("reference = bridge")
         lines.append(f"n = {ref.n}")
-        lines.append("mean0 = " + ",".join(_fmt(v) for v in ref.mean0))
-    cov = spec.cov
-    if isinstance(cov, ScalarVariance):
-        lines.append("family = scalar-variance")
-        lines.append(f"sigma = {_fmt(cov.sigma)}")
-    elif isinstance(cov, FiniteRank):
-        lines.append("family = finite-rank")
-        lines.append(f"rank = {cov.rank}")
-        lines.append("factor = " + ",".join(_fmt(v) for v in cov.factor.ravel()))
-    elif isinstance(cov, ConstantPotential):
-        lines.append("family = constant-potential")
-        lines.append(f"eps = {_fmt(cov.eps)}")
-        lines.append(f"strength = {_fmt(cov.strength)}")
-    else:
-        lines.append("family = variable-potential")
-        lines.append(f"eps = {_fmt(cov.eps)}")
-        lines.append(f"smoothing = {_fmt(cov.smoothing)}")
-        lines.append("potential = " + ",".join(_fmt(v) for v in cov.values))
-    lines.append("mean = " + ",".join(_fmt(v) for v in spec.mean))
+        lines.append(f"mean0 = {_fmt(ref.mean0)}")
+    lines.append(f"family = {spec.cov.spec_name}")
+    lines += [f"{key} = {_fmt(value)}" for key, value in spec.cov.spec_fields().items()]
+    lines.append(f"mean = {_fmt(spec.mean)}")
     path.write_text("\n".join(lines) + "\n")
 
 
 def load_gaussian_spec(path: Path) -> GaussianSpec:
-    """Read back a fit written by :func:`save_gaussian_spec`."""
+    """Read back a fit written by :func:`save_gaussian_spec`.
+
+    A malformed or incomplete file raises ``ValueError``.
+    """
     fields: dict[str, str] = {}
     for line in path.read_text().splitlines():
         line = line.strip()
@@ -466,33 +447,25 @@ def load_gaussian_spec(path: Path) -> GaussianSpec:
         raise ValueError(f"{path} is not a {SPEC_FORMAT} file")
 
     def vec(key: str) -> np.ndarray:
-        return np.array([float(v) for v in fields[key].split(",")])
+        return np.array(_float_list(fields[key]))
 
-    refkind = fields["reference"]
-    if refkind == "scalar":
-        ref = ScalarReference()
-    elif refkind == "periodic":
-        ref = PeriodicReference(int(fields["n"]), float(fields["scale"]))
-    elif refkind == "bridge":
-        mean0 = vec("mean0") if "mean0" in fields else None
-        ref = BridgeReference(int(fields["n"]), mean0=mean0)
-    else:
-        raise ValueError(f"unknown reference kind {refkind!r} in {path}")
-
-    family = fields["family"]
-    if family == "scalar-variance":
-        cov = ScalarVariance(float(fields["sigma"]))
-    elif family == "finite-rank":
-        k = int(fields["rank"])
-        cov = FiniteRank(vec("factor").reshape(k, k))
-    elif family == "constant-potential":
-        cov = ConstantPotential(float(fields["strength"]), float(fields["eps"]))
-    elif family == "variable-potential":
-        cov = VariablePotential(vec("potential"), float(fields["eps"]),
-                                smoothing=float(fields["smoothing"]))
-    else:
-        raise ValueError(f"unknown family {family!r} in {path}")
-    return GaussianSpec(mean=vec("mean"), cov=cov, ref=ref)
+    try:
+        refkind = fields["reference"]
+        if refkind == "scalar":
+            ref = ScalarReference()
+        elif refkind == "periodic":
+            ref = PeriodicReference(int(fields["n"]), float(fields["scale"]))
+        elif refkind == "bridge":
+            mean0 = vec("mean0") if "mean0" in fields else None
+            ref = BridgeReference(int(fields["n"]), mean0=mean0)
+        else:
+            raise ValueError(f"unknown reference kind {refkind!r} in {path}")
+        family = FAMILIES.get(fields["family"])
+        if family is None:
+            raise ValueError(f"unknown family {fields['family']!r} in {path}")
+        return GaussianSpec(mean=vec("mean"), cov=family.from_spec_fields(fields), ref=ref)
+    except KeyError as exc:
+        raise ValueError(f"{path} has no {exc.args[0]} entry") from exc
 
 
 def _write_manifest(out: Path, command: str, cfg, seed: int, paper_scale: bool,
@@ -658,18 +631,27 @@ def cmd_sample(args, cfg) -> int:
                 f"informed sampling needs a fitted Gaussian, but {spec_path} "
                 "does not exist (run optimize into this directory first)"
             )
-        spec = load_gaussian_spec(spec_path)
+        try:
+            spec = load_gaussian_spec(spec_path)
+        except ValueError as exc:
+            raise UsageError(f"cannot use {spec_path}: {exc}") from exc
+        if spec.cov.spec_name != setup.cfg["fit"]["family"]:
+            raise UsageError(f"{spec_path} holds a {spec.cov.spec_name} fit, "
+                             f"config wants fit.family = {setup.cfg['fit']['family']}")
         if spec.ref.dim != setup.ref.dim:
             raise UsageError(
                 f"{spec_path} has dimension {spec.ref.dim}, config wants {setup.ref.dim}"
             )
-        rng = np.random.default_rng([args.seed, 3])
-        t0 = time.perf_counter()
-        diag = setup.informed_chain(spec, rng, zero_potential=args.zero_potential)
+        stream, mean, sampler = 3, spec.mean, partial(sample_centered, spec)
+        chain = partial(fit_chain, setup.problem, spec)
     else:
-        rng = np.random.default_rng([args.seed, 2])
-        t0 = time.perf_counter()
-        diag = setup.reference_chain(rng, zero_potential=args.zero_potential)
+        stream, mean, sampler = 2, setup.ref.mean0, setup.ref.sample_centered
+        chain = partial(reference_chain, setup.problem, setup.ref)
+    if args.zero_potential:
+        chain = partial(run_chain, _zero_potential, mean, sampler)
+    rng = np.random.default_rng([args.seed, stream])
+    t0 = time.perf_counter()
+    diag = chain(setup.chain_config, rng)
     elapsed = time.perf_counter() - t0
     print(f"sample[{setup.algorithm}]: {diag.steps} steps in {elapsed:.1f} s, "
           f"acceptance {diag.acceptance_rate:.4f}, "
@@ -690,12 +672,12 @@ def cmd_compare(args, cfg) -> int:
     pi = setup.probe_index()
     rows = []
     summary = []
-    for name, runner, stream in (
-        ("reference", setup.reference_chain, 2),
-        ("informed", lambda r: setup.informed_chain(spec, r), 3),
+    for name, chain, stream in (
+        ("reference", partial(reference_chain, setup.problem, setup.ref), 2),
+        ("informed", partial(fit_chain, setup.problem, spec), 3),
     ):
         t0 = time.perf_counter()
-        diag = runner(np.random.default_rng([args.seed, stream]))
+        diag = chain(setup.chain_config, np.random.default_rng([args.seed, stream]))
         elapsed = time.perf_counter() - t0
         probe = diag.probe_post_burn
         if probe.size >= 2:

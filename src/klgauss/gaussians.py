@@ -1,8 +1,8 @@
 """Parameterized Gaussian fits against a reference measure.
 
-A fit is a :class:`GaussianSpec`: a mean field, a covariance
-parameterization, and the reference measure both live against. Four
-covariance families are supported, one per target problem:
+A fit is a :class:`GaussianSpec`: a mean field, a covariance family, and
+the reference measure both live against. Four covariance families are
+supported, one per target problem:
 
 * :class:`ScalarVariance` -- ``N(m, sigma^2)`` on the real line against the
   unit normal.
@@ -13,29 +13,24 @@ covariance families are supported, one per target problem:
   ``-(1/2) d^2/dt^2 + B/(2 eps^2)`` for scalar ``B``.
 * :class:`VariablePotential` -- same with a per-node potential ``b(t)``.
 
-The dispatch functions below expose exactly what the objective, the
-optimizer and the samplers need: centred draws, the quadratic form
-``<u, Gamma u>`` with ``Gamma = C^{-1} - C0^{-1}``, its per-sample
-derivative in the covariance parameter, the preconditioned descent
-direction, and the Gaussian potential used by proposal-informed pCN.
+Each family class is the one place that knows its own math (see
+:class:`_Family`); what depends only on the parameter value is computed
+when the family is built. The functions below apply a spec's family for the
+objective, the optimizer and the samplers, and build the Gaussian potential
+used by proposal-informed pCN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, Union, get_args
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import NotACovarianceError
 from .reference import BridgeReference, PeriodicReference, ScalarReference
-from .sampling import (
-    eigen_factorization,
-    require_spd,
-    sample_finite_rank,
-    sample_tridiagonal_precision,
-)
+from .sampling import require_spd, sample_finite_rank, sample_tridiagonal_precision
 
 __all__ = [
     "ScalarVariance",
@@ -43,41 +38,143 @@ __all__ = [
     "ConstantPotential",
     "VariablePotential",
     "CovParam",
+    "FAMILIES",
     "GaussianSpec",
     "sample_centered",
     "gamma_quad",
     "cov_param_derivative",
     "descent_direction_cov",
-    "cov_values",
-    "cov_with_values",
-    "theta_summary",
+    "project_box",
+    "project_spd",
     "make_gaussian_potential",
     "phi_nu",
     "log_density_ratio_centered",
-    "finite_rank_coefficient_derivative",
 ]
 
 
+def project_box(values, lo: float, hi: float):
+    """Clip into ``[lo, hi]``; returns ``(projected, was_active)``."""
+    arr = np.asarray(values, dtype=float)
+    out = np.clip(arr, lo, hi)
+    active = bool(np.any(out != arr))
+    if np.isscalar(values) or arr.ndim == 0:
+        return float(out), active
+    return out, active
+
+
+def project_spd(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Nearest symmetric matrix with spectrum in ``[lo, hi]`` (Frobenius).
+
+    Symmetrizes, then clamps the eigenvalues: for symmetric input this is
+    the exact Frobenius-norm projection onto ``{A = A', lo <= spec(A) <= hi}``.
+    """
+    if not lo <= hi:
+        raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
+    a = np.asarray(matrix, dtype=float)
+    a = 0.5 * (a + a.T)
+    vals, vecs = np.linalg.eigh(a)
+    clipped = np.clip(vals, lo, hi)
+    out = (vecs * clipped) @ vecs.T
+    return 0.5 * (out + out.T)
+
+
+def _vector(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")])
+
+
+class _Family:
+    """What a covariance family knows; each subclass sets the attributes.
+
+    ``reference`` is the reference class the family pairs with, ``spec_name``
+    its ``family`` entry in a spec file and ``param`` the field the optimizer
+    moves (:attr:`theta`). With ``ref`` the paired reference, a family has
+
+    * ``sample(ref, rng, size)`` -- centred draws, shape ``(size, ref.dim)``;
+    * ``quad(ref, u)`` -- ``<u, Gamma u>`` with ``Gamma = C^{-1} - C0^{-1}``,
+      batched over rows of ``u``;
+    * ``quad_derivative(ref, u)`` -- per-row derivative of ``-(1/2) <u, Gamma u>``
+      in ``theta``, for ``u`` of shape ``(B, dim)``;
+    * ``precondition(ref, term)`` -- descent direction from a raw gradient;
+    * ``project(raw, lo, hi)`` -- ``(theta, was_active)`` for a raw update;
+    * ``spec_fields()`` and ``from_spec_fields(fields)`` -- the spec-file
+      entries after ``family``, in order.
+    """
+
+    @property
+    def theta(self):
+        """The raw parameter value the optimizer moves."""
+        return getattr(self, self.param)
+
+    @property
+    def summary(self) -> float:
+        """One scalar summarizing the parameter for trace output."""
+        return self.theta
+
+    def with_theta(self, theta) -> "CovParam":
+        return replace(self, **{self.param: theta})
+
+    def check(self, ref) -> None:
+        """Raise ``ValueError`` unless the family can live on ``ref``."""
+        if not isinstance(ref, self.reference):
+            raise ValueError(
+                f"{type(self).__name__} requires a {self.reference.__name__} reference, "
+                f"got {type(ref).__name__}"
+            )
+
+    def precondition(self, ref, cov_term):
+        """The identity, unless the family has a preconditioner of its own."""
+        return float(cov_term)
+
+    def project(self, raw, lo: float, hi: float):
+        return project_box(raw, lo, hi)
+
+
 @dataclass(frozen=True)
-class ScalarVariance:
+class ScalarVariance(_Family):
     """Standard-deviation parameterization of a one-dimensional Gaussian."""
 
     sigma: float
+
+    reference = ScalarReference
+    spec_name = "scalar-variance"
+    param = "sigma"
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise NotACovarianceError(f"sigma must be positive, got {self.sigma}")
 
+    def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.sigma * rng.standard_normal((size, 1))
+
+    def quad(self, ref, u: np.ndarray) -> np.ndarray:
+        return (1.0 / self.sigma**2 - 1.0) * np.sum(u * u, axis=-1)
+
+    def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
+        return np.sum(u * u, axis=-1) / self.sigma**3
+
+    def spec_fields(self) -> dict:
+        return {"sigma": self.sigma}
+
+    @classmethod
+    def from_spec_fields(cls, fields: dict[str, str]) -> "ScalarVariance":
+        return cls(float(fields["sigma"]))
+
 
 @dataclass(frozen=True)
-class FiniteRank:
+class FiniteRank(_Family):
     """Symmetric factor ``B`` for the leading expansion coefficients.
 
     The coefficient covariance of the fitted measure is ``B @ B``; the
-    reference spectrum is kept beyond rank ``K = B.shape[0]``.
+    reference spectrum is kept beyond rank ``K = B.shape[0]``. The factor's
+    eigendecomposition is taken once, here, and must show it positive
+    definite.
     """
 
     factor: np.ndarray
+
+    reference = PeriodicReference
+    spec_name = "finite-rank"
+    param = "factor"
 
     def __post_init__(self) -> None:
         f = np.asarray(self.factor, dtype=float)
@@ -85,19 +182,82 @@ class FiniteRank:
             raise ValueError(f"factor must be square, got shape {f.shape}")
         if not np.allclose(f, f.T, atol=1e-12 * max(1.0, np.abs(f).max())):
             raise ValueError("factor must be symmetric")
+        values, vectors = np.linalg.eigh(f)
+        require_spd(values, "finite-rank factor")
         object.__setattr__(self, "factor", f)
+        object.__setattr__(self, "_eig", (values, vectors))
+        object.__setattr__(self, "_inv_sq", (vectors / values**2) @ vectors.T)  # B^{-2}
 
     @property
     def rank(self) -> int:
         return self.factor.shape[0]
 
+    @property
+    def summary(self) -> float:
+        return float(np.linalg.norm(self.factor))
+
+    def check(self, ref) -> None:
+        super().check(ref)
+        if self.rank > ref.n_modes:
+            raise ValueError(f"rank {self.rank} exceeds the {ref.n_modes} retained modes")
+
+    def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
+        return sample_finite_rank(self.factor, ref, rng, size)
+
+    def quad(self, ref, u: np.ndarray) -> np.ndarray:
+        v = ref.coeffs(u)[..., : self.rank]
+        gm = self._inv_sq - np.diag(1.0 / ref.lam2[: self.rank])
+        return np.einsum("...i,ij,...j->...", v, gm, v)
+
+    def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
+        values, vectors = self._eig
+        proj = ref.coeffs(u)[:, : self.rank] @ vectors
+        a = (proj * values**-1.0) @ vectors.T  # B^{-1} v
+        c = (proj * values**-2.0) @ vectors.T  # B^{-2} v
+        outer = np.einsum("bi,bj->bij", a, c)
+        return 0.5 * (outer + outer.transpose(0, 2, 1))
+
+    def precondition(self, ref, cov_term) -> np.ndarray:
+        """Scale by the smallest retained reference amplitude."""
+        return ref.lam[ref.n_modes - 1] * np.asarray(cov_term, dtype=float)
+
+    def project(self, raw, lo: float, hi: float):
+        """Clamp the spectrum of the raw factor into ``[lo, hi]``."""
+        projected = project_spd(raw, lo, hi)
+        scale = max(1.0, float(np.abs(raw).max()))
+        return projected, bool(np.abs(projected - raw).max() > 1e-12 * scale)
+
+    def spec_fields(self) -> dict:
+        return {"rank": self.rank, "factor": self.factor.ravel()}
+
+    @classmethod
+    def from_spec_fields(cls, fields: dict[str, str]) -> "FiniteRank":
+        k = int(fields["rank"])
+        return cls(_vector(fields["factor"]).reshape(k, k))
+
+
+class _Potential(_Family):
+    """Bridge families: precision ``h (S + diag(theta/(2 eps^2)))``."""
+
+    reference = BridgeReference
+
+    def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
+        precision = ref.path_precision_banded(self.theta, self.eps)
+        return sample_tridiagonal_precision(precision, rng, size)
+
+    def quad(self, ref, u: np.ndarray) -> np.ndarray:
+        return (0.5 / self.eps**2) * ref.h * np.sum(self.theta * u * u, axis=-1)
+
 
 @dataclass(frozen=True)
-class ConstantPotential:
+class ConstantPotential(_Potential):
     """Constant added potential ``strength/(2 eps^2)`` on the bridge."""
 
     strength: float
     eps: float
+
+    spec_name = "constant-potential"
+    param = "strength"
 
     def __post_init__(self) -> None:
         if not self.strength > 0:
@@ -105,9 +265,19 @@ class ConstantPotential:
         if not self.eps > 0:
             raise ValueError(f"temperature must be positive, got {self.eps}")
 
+    def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
+        return -(0.25 / self.eps**2) * ref.h * np.sum(u * u, axis=-1)
+
+    def spec_fields(self) -> dict:
+        return {"eps": self.eps, "strength": self.strength}
+
+    @classmethod
+    def from_spec_fields(cls, fields: dict[str, str]) -> "ConstantPotential":
+        return cls(float(fields["strength"]), float(fields["eps"]))
+
 
 @dataclass(frozen=True)
-class VariablePotential:
+class VariablePotential(_Potential):
     """Per-node added potential ``values(t)/(2 eps^2)`` on the bridge.
 
     ``smoothing`` is the strength of the inverse-Laplacian preconditioner
@@ -118,6 +288,9 @@ class VariablePotential:
     values: np.ndarray
     eps: float
     smoothing: float = 1e-2
+
+    spec_name = "variable-potential"
+    param = "values"
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -133,13 +306,41 @@ class VariablePotential:
             raise ValueError(f"smoothing must be positive, got {self.smoothing}")
         object.__setattr__(self, "values", v)
 
+    @property
+    def summary(self) -> float:
+        return float(self.values.mean())
+
+    def check(self, ref) -> None:
+        super().check(ref)
+        if self.values.shape != (ref.dim,):
+            raise ValueError(f"potential must have shape ({ref.dim},), got {self.values.shape}")
+
+    def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
+        return -(0.25 / self.eps**2) * u * u
+
+    def precondition(self, ref, cov_term) -> np.ndarray:
+        """Smooth by an inverse Laplacian and add the current potential back."""
+        smoother = np.array([np.full(ref.dim, -1.0), np.full(ref.dim, 2.0)])  # banded -d^2/dt^2
+        smoother[1, 0] = 1.0  # insulated (Neumann) left end; the right end stays pinned
+        return solveh_banded(self.smoothing / ref.h**2 * smoother, cov_term) + self.values
+
+    def spec_fields(self) -> dict:
+        return {"eps": self.eps, "smoothing": self.smoothing, "potential": self.values}
+
+    @classmethod
+    def from_spec_fields(cls, fields: dict[str, str]) -> "VariablePotential":
+        return cls(_vector(fields["potential"]), float(fields["eps"]),
+                   smoothing=float(fields["smoothing"]))
+
 
 CovParam = Union[ScalarVariance, FiniteRank, ConstantPotential, VariablePotential]
+
+FAMILIES: dict[str, type] = {cls.spec_name: cls for cls in get_args(CovParam)}
 
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """A Gaussian fit: mean field, covariance parameterization, reference."""
+    """A Gaussian fit: mean field, covariance family, reference."""
 
     mean: np.ndarray
     cov: CovParam
@@ -150,26 +351,7 @@ class GaussianSpec:
         if m.shape != (self.ref.dim,):
             raise ValueError(f"mean must have shape ({self.ref.dim},), got {m.shape}")
         object.__setattr__(self, "mean", m)
-        pairings = {
-            ScalarVariance: ScalarReference,
-            FiniteRank: PeriodicReference,
-            ConstantPotential: BridgeReference,
-            VariablePotential: BridgeReference,
-        }
-        want = pairings[type(self.cov)]
-        if not isinstance(self.ref, want):
-            raise ValueError(
-                f"{type(self.cov).__name__} requires a {want.__name__} reference, "
-                f"got {type(self.ref).__name__}"
-            )
-        if isinstance(self.cov, FiniteRank) and self.cov.rank > self.ref.n_modes:
-            raise ValueError(
-                f"rank {self.cov.rank} exceeds the {self.ref.n_modes} retained modes"
-            )
-        if isinstance(self.cov, VariablePotential) and self.cov.values.shape != (self.ref.dim,):
-            raise ValueError(
-                f"potential must have shape ({self.ref.dim},), got {self.cov.values.shape}"
-            )
+        self.cov.check(self.ref)
 
     def with_mean(self, mean: np.ndarray) -> "GaussianSpec":
         return replace(self, mean=np.asarray(mean, dtype=float))
@@ -178,43 +360,14 @@ class GaussianSpec:
         return replace(self, cov=cov)
 
 
-# ---------------------------------------------------------------------------
-# sampling
-
-
 def sample_centered(spec: GaussianSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` centred fields from the fitted covariance, shape (size, dim)."""
-    cov, ref = spec.cov, spec.ref
-    if isinstance(cov, ScalarVariance):
-        return cov.sigma * rng.standard_normal((size, 1))
-    if isinstance(cov, FiniteRank):
-        return sample_finite_rank(cov.factor, ref, rng, size)
-    precision = ref.path_precision_banded(cov_values(cov), cov.eps)
-    return sample_tridiagonal_precision(precision, rng, size)
-
-
-# ---------------------------------------------------------------------------
-# quadratic form <u, Gamma u> and its parameter derivative
-
-
-def _finite_rank_gamma(cov: FiniteRank, ref: PeriodicReference) -> np.ndarray:
-    fact = eigen_factorization(cov.factor)
-    require_spd(fact, "finite-rank factor")
-    b_inv2 = (fact.vectors / fact.values**2) @ fact.vectors.T
-    return b_inv2 - np.diag(1.0 / ref.lam2[: cov.rank])
+    return spec.cov.sample(spec.ref, rng, size)
 
 
 def gamma_quad(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
     """``<u, Gamma u>`` with ``Gamma = C^{-1} - C0^{-1}``, batched over rows."""
-    cov, ref = spec.cov, spec.ref
-    u = np.asarray(u, dtype=float)
-    if isinstance(cov, ScalarVariance):
-        return (1.0 / cov.sigma**2 - 1.0) * np.sum(u * u, axis=-1)
-    if isinstance(cov, FiniteRank):
-        v = ref.coeffs(u)[..., : cov.rank]
-        gm = _finite_rank_gamma(cov, ref)
-        return np.einsum("...i,ij,...j->...", v, gm, v)
-    return (0.5 / cov.eps**2) * ref.h * np.sum(cov_values(cov) * u * u, axis=-1)
+    return spec.cov.quad(spec.ref, np.asarray(u, dtype=float))
 
 
 def cov_param_derivative(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
@@ -224,94 +377,12 @@ def cov_param_derivative(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
     ``(B,)`` for the scalar families, ``(B, K, K)`` for the finite-rank
     factor and ``(B, n)`` for the variable potential.
     """
-    cov, ref = spec.cov, spec.ref
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if isinstance(cov, ScalarVariance):
-        return np.sum(u * u, axis=-1) / cov.sigma**3
-    if isinstance(cov, FiniteRank):
-        fact = eigen_factorization(cov.factor)
-        require_spd(fact, "finite-rank factor")
-        v = ref.coeffs(u)[:, : cov.rank]
-        a = fact.apply_power(v, -1.0)
-        c = fact.apply_power(v, -2.0)
-        outer = np.einsum("bi,bj->bij", a, c)
-        return 0.5 * (outer + outer.transpose(0, 2, 1))
-    if isinstance(cov, ConstantPotential):
-        return -(0.25 / cov.eps**2) * ref.h * np.sum(u * u, axis=-1)
-    return -(0.25 / cov.eps**2) * u * u
-
-
-def finite_rank_coefficient_derivative(factor: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Factor derivative of the Gaussian potential ``(1/2) v' (B^-2 - L^-2) v``.
-
-    Returns ``-(1/2)(B^{-1} v (B^{-2} v)' + B^{-2} v (B^{-1} v)')`` for a
-    single coefficient vector ``v``; this is minus the per-sample derivative
-    of the reduced discrepancy restricted to the leading block.
-    """
-    fact = eigen_factorization(np.asarray(factor, dtype=float))
-    require_spd(fact, "finite-rank factor")
-    v = np.atleast_2d(np.asarray(coeff, dtype=float))
-    a = fact.apply_power(v, -1.0)
-    c = fact.apply_power(v, -2.0)
-    outer = np.einsum("bi,bj->bij", a, c)
-    out = -0.5 * (outer + outer.transpose(0, 2, 1))
-    return out[0] if np.asarray(coeff).ndim == 1 else out
-
-
-# ---------------------------------------------------------------------------
-# preconditioned covariance updates
+    return spec.cov.quad_derivative(spec.ref, np.atleast_2d(np.asarray(u, dtype=float)))
 
 
 def descent_direction_cov(spec: GaussianSpec, cov_term: np.ndarray | float):
-    """Apply the family's preconditioner to the raw covariance gradient term.
-
-    Scalar variance and constant potential use the identity; the finite-rank
-    factor is scaled by the smallest retained reference amplitude; the
-    variable potential is smoothed by an inverse Laplacian and regularized
-    by adding the current potential back.
-    """
-    cov, ref = spec.cov, spec.ref
-    if isinstance(cov, (ScalarVariance, ConstantPotential)):
-        return float(cov_term)
-    if isinstance(cov, FiniteRank):
-        return ref.lam[ref.n_modes - 1] * np.asarray(cov_term, dtype=float)
-    smoother = np.array([np.full(ref.dim, -1.0), np.full(ref.dim, 2.0)])  # banded -d^2/dt^2
-    smoother[1, 0] = 1.0  # insulated (Neumann) left end; the right end stays pinned
-    return solveh_banded(cov.smoothing / ref.h**2 * smoother, cov_term) + cov.values
-
-
-def cov_values(cov: CovParam) -> np.ndarray | float:
-    """Raw parameter content of a covariance parameterization."""
-    if isinstance(cov, ScalarVariance):
-        return cov.sigma
-    if isinstance(cov, FiniteRank):
-        return cov.factor
-    if isinstance(cov, ConstantPotential):
-        return cov.strength
-    return cov.values
-
-
-def cov_with_values(cov: CovParam, values: np.ndarray | float) -> CovParam:
-    """Rebuild a covariance parameterization around new raw values."""
-    if isinstance(cov, ScalarVariance):
-        return ScalarVariance(sigma=float(values))
-    if isinstance(cov, FiniteRank):
-        return FiniteRank(factor=np.asarray(values, dtype=float))
-    if isinstance(cov, ConstantPotential):
-        return ConstantPotential(strength=float(values), eps=cov.eps)
-    return VariablePotential(values=np.asarray(values, dtype=float), eps=cov.eps,
-                             smoothing=cov.smoothing)
-
-
-def theta_summary(cov: CovParam) -> float:
-    """One scalar summarizing the covariance parameter for trace output."""
-    if isinstance(cov, ScalarVariance):
-        return cov.sigma
-    if isinstance(cov, FiniteRank):
-        return float(np.linalg.norm(cov.factor))
-    if isinstance(cov, ConstantPotential):
-        return cov.strength
-    return float(cov.values.mean())
+    """Apply the family's preconditioner to the raw covariance gradient term."""
+    return spec.cov.precondition(spec.ref, cov_term)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,13 @@ class GradientPair:
 
 def reduced_discrepancy(spec: GaussianSpec, problem, u: np.ndarray) -> np.ndarray:
     """``phi(u + m) - (1/2) <u, Gamma u>`` for centred rows ``u``."""
-    u = np.asarray(u, dtype=float)
-    return problem.phi(u + spec.mean) - 0.5 * gamma_quad(spec, u)
+    return _discrepancy(spec, problem, np.asarray(u, dtype=float))[0]
+
+
+def _discrepancy(spec: GaussianSpec, problem, u: np.ndarray):
+    """Reduced discrepancies of the rows of ``u`` and their ``<u, Gamma u>``."""
+    quad = gamma_quad(spec, u)
+    return problem.phi(u + spec.mean) - 0.5 * quad, quad
 
 
 def _normalized_log_weights(spec: GaussianSpec, base: GaussianSpec | None,
@@ -127,16 +132,20 @@ def estimate_dkl(
         batch = sample_centered(spec, rng, n_samples)
     else:
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    logw = _normalized_log_weights(spec, base, batch)
-    w = np.exp(logw)
+    delta0, quad = _discrepancy(spec, problem, batch)
+    return _kl_estimate(spec, _normalized_log_weights(spec, base, batch), delta0, quad)
 
-    delta0 = reduced_discrepancy(spec, problem, batch)
+
+def _kl_estimate(spec: GaussianSpec, logw: np.ndarray, delta0: np.ndarray,
+                 quad: np.ndarray) -> KLEstimate:
+    """The divergence terms from log weights, reduced discrepancies and ``<u, Gamma u>``."""
+    w = np.exp(logw)
     disc = float(w @ delta0)
     se_disc = float(np.sqrt(np.sum(w**2 * (delta0 - disc) ** 2)))
 
     shift_term = 0.5 * float(spec.ref.cm_norm_sq(spec.mean - spec.ref.mean0))
 
-    g = 0.5 * gamma_quad(spec, batch) + logw
+    g = 0.5 * quad + logw
     gmax = float(g.max())
     r = np.exp(g - gmax)
     log_partition = gmax + float(np.log(r.sum()))
@@ -150,7 +159,7 @@ def estimate_dkl(
         log_partition=log_partition,
         stderr=float(np.hypot(se_disc, se_lp)),
         shift=gmax,
-        n_samples=batch.shape[0],
+        n_samples=len(delta0),
     )
 
 
@@ -161,13 +170,14 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray) -> Gradie
     field; the covariance gradient is the batch covariance (1/M
     normalization) of the reduced discrepancy with its per-sample parameter
     derivative. Both are exact derivatives of :func:`estimate_dkl` on the
-    same frozen batch (the covariance one under ``base=`` reweighting).
+    same frozen batch (the covariance one under ``base=`` reweighting),
+    whose value on this batch comes along from the same ``phi`` evaluation.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     m_field = problem.grad_phi(batch + spec.mean).mean(axis=0)
     m_field = m_field + spec.ref.precision_apply(spec.mean - spec.ref.mean0)
 
-    delta0 = reduced_discrepancy(spec, problem, batch)
+    delta0, quad = _discrepancy(spec, problem, batch)
     dtheta = cov_param_derivative(spec, batch)
     centered = delta0 - delta0.mean()
     if dtheta.ndim == 1:
@@ -179,7 +189,7 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray) -> Gradie
     return GradientPair(
         mean=m_field,
         cov=cov_term,
-        estimate=estimate_dkl(spec, problem, batch=batch),
+        estimate=_kl_estimate(spec, _normalized_log_weights(spec, None, batch), delta0, quad),
     )
 
 

@@ -4,9 +4,9 @@ Each iteration draws one centred batch from the current fit and reuses it
 for both parameter updates: the mean moves along the covariance-smoothed
 mean gradient, the covariance parameter along its family preconditioned
 gradient (see :func:`klgauss.gaussians.descent_direction_cov`), both with
-the decaying step ``a0 * n**(-decay)``. Updates are projected back into
-boxes -- pointwise for means and potentials, through an eigenvalue clamp
-for the symmetric finite-rank factor.
+the decaying step ``a0 * n**(-decay)``. Means are clipped back into their
+box; the covariance family projects its own update (a box clip, or an
+eigenvalue clamp for the symmetric finite-rank factor).
 """
 
 from __future__ import annotations
@@ -16,23 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteObjectiveError
-from .gaussians import (
-    FiniteRank,
-    GaussianSpec,
-    cov_values,
-    cov_with_values,
-    descent_direction_cov,
-    sample_centered,
-    theta_summary,
-)
+from .gaussians import GaussianSpec, descent_direction_cov, project_box, sample_centered
 from .objective import estimate_gradients
 
 __all__ = [
     "StepSchedule",
     "RMConfig",
     "RMTrace",
-    "project_box",
-    "project_spd",
     "rm_minimize",
 ]
 
@@ -100,40 +90,21 @@ class RMTrace:
         self.dkl.append(est.value)
         self.dkl_stderr.append(est.stderr)
         self.mean_norm.append(float(np.sqrt(spec.ref.inner(spec.mean, spec.mean))))
-        self.cov_summary.append(theta_summary(spec.cov))
+        self.cov_summary.append(spec.cov.summary)
         self.proj_active.append(proj)
 
     def snapshot(self, n: int, spec: GaussianSpec) -> None:
         self.snapshot_steps.append(n)
         self.snapshot_means.append(spec.mean.copy())
-        self.snapshot_covs.append(np.atleast_1d(np.asarray(cov_values(spec.cov),
+        self.snapshot_covs.append(np.atleast_1d(np.asarray(spec.cov.theta,
                                                            dtype=float)).ravel().copy())
 
 
-def project_box(values, lo: float, hi: float):
-    """Clip into ``[lo, hi]``; returns ``(projected, was_active)``."""
-    arr = np.asarray(values, dtype=float)
-    out = np.clip(arr, lo, hi)
-    active = bool(np.any(out != arr))
-    if np.isscalar(values) or arr.ndim == 0:
-        return float(out), active
-    return out, active
-
-
-def project_spd(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Nearest symmetric matrix with spectrum in ``[lo, hi]`` (Frobenius).
-
-    Symmetrizes, then clamps the eigenvalues: for symmetric input this is
-    the exact Frobenius-norm projection onto ``{A = A', lo <= spec(A) <= hi}``.
-    """
-    if not lo <= hi:
-        raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
-    a = np.asarray(matrix, dtype=float)
-    a = 0.5 * (a + a.T)
-    vals, vecs = np.linalg.eigh(a)
-    clipped = np.clip(vals, lo, hi)
-    out = (vecs * clipped) @ vecs.T
-    return 0.5 * (out + out.T)
+def _nonfinite(what: str, n: int, trace: RMTrace) -> NonFiniteObjectiveError:
+    exc = NonFiniteObjectiveError(f"{what} became non-finite at iteration {n}")
+    exc.trace = trace
+    exc.iteration = n
+    return exc
 
 
 def rm_minimize(
@@ -157,36 +128,21 @@ def rm_minimize(
         batch = sample_centered(spec, rng, config.batch_size)
         grads = estimate_gradients(spec, problem, batch)
         if not np.isfinite(grads.estimate.value):
-            exc = NonFiniteObjectiveError(
-                f"divergence estimate became non-finite at iteration {n}"
-            )
-            exc.trace = trace
-            exc.iteration = n
-            raise exc
+            raise _nonfinite("divergence estimate", n, trace)
         a_n = config.schedule.step_at(n)
 
         mean_dir = spec.ref.apply_cov(grads.mean)
         new_mean, mean_active = project_box(spec.mean - a_n * mean_dir, m_lo, m_hi)
 
         cov_dir = descent_direction_cov(spec, grads.cov)
-        theta_raw = cov_values(spec.cov) - a_n * np.asarray(cov_dir)
-        if isinstance(spec.cov, FiniteRank):
-            theta_new = project_spd(theta_raw, c_lo, c_hi)
-            scale = max(1.0, float(np.abs(theta_raw).max()))
-            cov_active = bool(np.abs(theta_new - theta_raw).max() > 1e-12 * scale)
-        else:
-            theta_new, cov_active = project_box(theta_raw, c_lo, c_hi)
+        theta_new, cov_active = spec.cov.project(
+            spec.cov.theta - a_n * np.asarray(cov_dir), c_lo, c_hi)
         if not (np.all(np.isfinite(new_mean)) and np.all(np.isfinite(np.asarray(theta_new)))):
-            exc = NonFiniteObjectiveError(
-                f"parameter update became non-finite at iteration {n}"
-            )
-            exc.trace = trace
-            exc.iteration = n
-            raise exc
+            raise _nonfinite("parameter update", n, trace)
 
         proj = (1 if mean_active else 0) | (2 if cov_active else 0)
         trace.record(n, a_n, grads.estimate, spec, proj)
-        spec = spec.with_mean(new_mean).with_cov(cov_with_values(spec.cov, theta_new))
+        spec = spec.with_mean(new_mean).with_cov(spec.cov.with_theta(theta_new))
         if n % config.snapshot_every == 0 or n == config.iterations:
             trace.snapshot(n, spec)
     return spec, trace

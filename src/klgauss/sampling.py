@@ -19,8 +19,6 @@ paths (potential frozen at its maximum, so every weight is >= 1).
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -33,40 +31,14 @@ if TYPE_CHECKING:  # reference.py imports this module for its own sampler
     from .reference import PeriodicReference
 
 __all__ = [
-    "EigenFactorization",
     "FieldSample",
     "ReweightedExpectation",
-    "eigen_factorization",
     "sample_finite_rank",
     "sample_ou_bridge",
     "sample_tridiagonal_precision",
     "reweighted_expectation",
     "indexed_sample",
 ]
-
-
-@dataclass(frozen=True)
-class EigenFactorization:
-    """Eigendecomposition ``matrix = vectors @ diag(values) @ vectors.T``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.values.shape[0]
-        if self.vectors.shape != (n, n):
-            raise ValueError("eigenvector matrix shape does not match eigenvalues")
-        gram = self.vectors.T @ self.vectors
-        if not np.allclose(gram, np.eye(n), atol=1e-10):
-            raise ValueError("eigenvectors are not orthonormal to 1e-10")
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
-
-    def apply_power(self, fields: np.ndarray, power: float) -> np.ndarray:
-        """Apply ``matrix**power`` to rows of ``fields`` (negative powers allowed)."""
-        proj = fields @ self.vectors
-        return (proj * self.values**power) @ self.vectors.T
 
 
 @dataclass(frozen=True)
@@ -88,35 +60,9 @@ class ReweightedExpectation:
     frozen_potential: float
 
 
-_EIG_CACHE: OrderedDict[bytes, EigenFactorization] = OrderedDict()
-_EIG_CACHE_MAX = 16
-
-
-def eigen_factorization(matrix: np.ndarray, *, cache: bool = True) -> EigenFactorization:
-    """Symmetric eigendecomposition with a small content-addressed cache."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.allclose(matrix, matrix.T, atol=1e-10 * max(1.0, np.abs(matrix).max())):
-        raise ValueError("matrix is not symmetric")
-    key = hashlib.blake2b(matrix.tobytes(), digest_size=16).digest() + bytes(
-        str(matrix.shape), "ascii"
-    )
-    if cache and key in _EIG_CACHE:
-        _EIG_CACHE.move_to_end(key)
-        return _EIG_CACHE[key]
-    values, vectors = np.linalg.eigh(matrix)
-    fact = EigenFactorization(values=values, vectors=vectors)
-    if cache:
-        _EIG_CACHE[key] = fact
-        while len(_EIG_CACHE) > _EIG_CACHE_MAX:
-            _EIG_CACHE.popitem(last=False)
-    return fact
-
-
-def require_spd(fact: EigenFactorization, what: str) -> None:
+def require_spd(eigenvalues: np.ndarray, what: str) -> None:
     """Raise :class:`NotACovarianceError` if any eigenvalue is non-positive."""
-    lo = float(fact.values.min())
+    lo = float(np.min(eigenvalues))
     if lo <= 0.0:
         raise NotACovarianceError(
             f"{what} must be positive definite; smallest eigenvalue is {lo:.6g}"
@@ -150,8 +96,9 @@ def sample_finite_rank(
         raise ValueError(
             f"factor rank {k} exceeds the {ref.n_modes} retained modes of the grid"
         )
-    fact = eigen_factorization(factor)
-    require_spd(fact, "finite-rank factor")
+    if not np.allclose(factor, factor.T, atol=1e-10 * max(1.0, np.abs(factor).max())):
+        raise ValueError("factor must be symmetric")
+    require_spd(np.linalg.eigvalsh(factor), "finite-rank factor")
     xi = rng.standard_normal((size, ref.n_modes))
     coeffs = np.empty_like(xi)
     coeffs[:, :k] = xi[:, :k] @ factor.T

@@ -3,9 +3,14 @@
 import csv
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from klgauss import (
     BridgeReference,
@@ -16,8 +21,10 @@ from klgauss import (
     ScalarReference,
     ScalarVariance,
     VariablePotential,
+    sample_centered,
     scalar_sigma_opt,
 )
+from klgauss.gaussians import FAMILIES
 from klgauss.cli import (
     PRESETS,
     SPEC_FILENAME,
@@ -127,6 +134,8 @@ def test_usage_errors_exit_2(tmp_path):
      "problem.n must be at least 4"),
     ("[problem]\nkind = diffusion\nn = 1\n[fit]\nfamily = constant-potential\n",
      "problem.n must be at least 2"),
+    ("[problem]\nkind = darcy\nn = 8\n[fit]\nfamily = finite-rank\nrank = 10\n",
+     "fit.rank 10 exceeds the 6 modes"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, text, message):
     assert main(["compare", "--config", write_config(tmp_path, text),
@@ -167,6 +176,73 @@ def test_gaussian_spec_round_trip(tmp_path, spec):
     path.write_text("format = something-else\n")
     with pytest.raises(ValueError):
         load_gaussian_spec(path)
+
+
+@st.composite
+def fitted_specs(draw):
+    """A fit of any family on a small grid, with random valid parameters."""
+    num = st.floats(-3.0, 3.0)
+    pos = st.floats(0.01, 10.0)
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    if family == "scalar-variance":
+        return GaussianSpec(np.array([draw(num)]), ScalarVariance(draw(pos)), ScalarReference())
+    n = draw(st.integers(6, 12))
+    mean = draw(arrays(float, n, elements=num))
+    if family == "finite-rank":
+        k = draw(st.integers(1, 3))
+        a = draw(arrays(float, (k, k), elements=num))
+        factor = a @ a.T + draw(pos) * np.eye(k)
+        return GaussianSpec(mean, FiniteRank(0.5 * (factor + factor.T)),
+                            PeriodicReference(n, draw(pos)))
+    ref = BridgeReference(n, mean0=draw(arrays(float, n, elements=num)))
+    if family == "constant-potential":
+        return GaussianSpec(mean, ConstantPotential(draw(pos), draw(pos)), ref)
+    potential = draw(arrays(float, n, elements=pos))
+    return GaussianSpec(mean, VariablePotential(potential, draw(pos), smoothing=draw(pos)), ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=fitted_specs(), seed=st.integers(0, 2**32 - 1))
+def test_gaussian_spec_round_trip_property(spec, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / SPEC_FILENAME
+        save_gaussian_spec(path, spec)
+        back = load_gaussian_spec(path)
+    assert type(back.cov) is type(spec.cov)
+    fields, back_fields = spec.cov.spec_fields(), back.cov.spec_fields()
+    assert list(back_fields) == list(fields)
+    assert all(np.array_equal(back_fields[key], fields[key]) for key in fields)
+    assert np.array_equal(back.mean, spec.mean)
+    assert np.array_equal(back.ref.mean0, spec.ref.mean0)
+    draws = [sample_centered(s, np.random.default_rng(seed), 4) for s in (spec, back)]
+    assert np.array_equal(draws[0], draws[1])
+
+
+def test_sample_rejects_incomplete_spec(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    spec = GaussianSpec(np.array([0.0]), ScalarVariance(0.1), ScalarReference())
+    save_gaussian_spec(out / SPEC_FILENAME, spec)
+    lines = (out / SPEC_FILENAME).read_text().splitlines()
+    (out / SPEC_FILENAME).write_text("\n".join(l for l in lines if not l.startswith("sigma")))
+    assert main(["sample", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no sigma entry" in err
+    assert "Traceback" not in err
+
+
+def test_sample_rejects_spec_of_other_family(tmp_path, capsys):
+    text = ("[problem]\nkind = diffusion\nn = 7\n[fit]\nfamily = variable-potential\n"
+            "[chain]\nsteps = 10\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    t = np.arange(1, 8) / 8.0
+    save_gaussian_spec(out / SPEC_FILENAME, GaussianSpec(
+        t, ConstantPotential(2.0, 0.05), BridgeReference(7, mean0=t)))
+    assert main(["sample", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "constant-potential fit, config wants fit.family = variable-potential" in err
+    assert "Traceback" not in err
 
 
 def test_optimize_outputs_and_determinism(tmp_path, capsys):

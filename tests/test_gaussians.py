@@ -16,7 +16,6 @@ from klgauss import (
     cov_param_derivative,
     dirichlet_precision,
     descent_direction_cov,
-    finite_rank_coefficient_derivative,
     gamma_quad,
     log_density_ratio_centered,
     make_gaussian_potential,
@@ -64,6 +63,8 @@ def test_parameter_validation():
         FiniteRank(np.ones((2, 3)))
     with pytest.raises(ValueError):
         FiniteRank(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not symmetric
+    with pytest.raises(NotACovarianceError):
+        FiniteRank(np.diag([1.0, -1.0]))  # symmetric but indefinite
     with pytest.raises(NotACovarianceError):
         ConstantPotential(-1.0, 0.1)
     with pytest.raises(ValueError):
@@ -179,17 +180,6 @@ def test_cov_derivative_bridge_matches_fd():
     )
     paired = var.ref.h * deriv @ s  # quadrature-weighted pairing
     assert np.allclose(paired, fd, rtol=1e-5)
-
-
-def test_finite_rank_coefficient_derivative_sign_convention():
-    spec = finite_rank_spec()
-    u = spec.ref.sample_centered(np.random.default_rng(8), 3)
-    v = spec.ref.coeffs(u)[:, : spec.cov.rank]
-    got = finite_rank_coefficient_derivative(spec.cov.factor, v)
-    assert np.allclose(got, -cov_param_derivative(spec, u))
-    single = finite_rank_coefficient_derivative(spec.cov.factor, v[0])
-    assert single.shape == (spec.cov.rank, spec.cov.rank)
-    assert np.allclose(single, got[0])
 
 
 def dense_log_density_diff(u, mean, prec, mean0, prec0):

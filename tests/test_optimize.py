@@ -147,6 +147,29 @@ def test_rm_nonfinite_carries_partial_trace():
     assert exc.trace.snapshot_steps == [0]  # initial snapshot survives
 
 
+class _CountingProblem:
+    """Double-well target that counts its potential and gradient evaluations."""
+
+    def __init__(self):
+        self.inner = ScalarDoubleWell(0.01)
+        self.calls = {"phi": 0, "grad_phi": 0}
+
+    def phi(self, fields):
+        self.calls["phi"] += 1
+        return self.inner.phi(fields)
+
+    def grad_phi(self, fields):
+        self.calls["grad_phi"] += 1
+        return self.inner.grad_phi(fields)
+
+
+def test_rm_evaluates_phi_and_grad_once_per_iteration():
+    problem = _CountingProblem()
+    spec0 = GaussianSpec(np.array([0.2]), ScalarVariance(0.5), ScalarReference())
+    rm_minimize(spec0, problem, small_config(iterations=25), np.random.default_rng(4))
+    assert problem.calls == {"phi": 25, "grad_phi": 25}
+
+
 def test_rm_finite_rank_respects_spectral_bounds():
     n, rank = 16, 2
     ref = PeriodicReference(n, 1.0)

@@ -9,7 +9,6 @@ from klgauss import (
     NotACovarianceError,
     PeriodicReference,
     dirichlet_precision,
-    eigen_factorization,
     indexed_sample,
     require_spd,
     reweighted_expectation,
@@ -43,22 +42,9 @@ def dense_path_precision(n, potential, eps):
     return h * (dirichlet_precision(n) + np.diag(b / (2.0 * eps**2)))
 
 
-def test_eigen_factorization_roundtrip_and_cache():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((6, 6))
-    mat = a @ a.T + np.eye(6)
-    fact = eigen_factorization(mat)
-    assert np.abs(fact.reconstruct() - mat).max() < 1e-10
-    assert eigen_factorization(mat.copy()) is fact  # content-hash cache hit
-    v = rng.standard_normal((3, 6))
-    assert np.abs(fact.apply_power(v, 1.0) - v @ mat.T).max() < 1e-10
-    assert np.abs(fact.apply_power(fact.apply_power(v, -1.0), 1.0) - v).max() < 1e-9
-
-
 def test_require_spd_rejects_indefinite():
-    fact = eigen_factorization(np.diag([2.0, -0.5]), cache=False)
     with pytest.raises(NotACovarianceError):
-        require_spd(fact, "test matrix")
+        require_spd(np.array([2.0, -0.5]), "test matrix")
 
 
 def test_finite_rank_leading_block_covariance():
