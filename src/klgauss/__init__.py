@@ -32,7 +32,6 @@ from .gaussians import (
     gamma_quad,
     log_density_ratio_centered,
     make_gaussian_potential,
-    phi_nu,
     project_box,
     project_spd,
     sample_centered,
@@ -139,7 +138,6 @@ __all__ = [
     "indexed_sample",
     "log_density_ratio_centered",
     "make_gaussian_potential",
-    "phi_nu",
     "project_box",
     "project_spd",
     "reduced_discrepancy",

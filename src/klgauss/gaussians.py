@@ -30,7 +30,7 @@ from scipy.linalg import solveh_banded
 
 from .errors import NotACovarianceError
 from .reference import BridgeReference, PeriodicReference, ScalarReference
-from .sampling import require_spd, sample_finite_rank, sample_tridiagonal_precision
+from .sampling import _finite_rank_fields, require_spd, sample_tridiagonal_precision
 
 __all__ = [
     "ScalarVariance",
@@ -47,7 +47,6 @@ __all__ = [
     "project_box",
     "project_spd",
     "make_gaussian_potential",
-    "phi_nu",
     "log_density_ratio_centered",
 ]
 
@@ -92,6 +91,13 @@ class _Family:
     * ``sample(ref, rng, size)`` -- centred draws, shape ``(size, ref.dim)``;
     * ``quad(ref, u)`` -- ``<u, Gamma u>`` with ``Gamma = C^{-1} - C0^{-1}``,
       batched over rows of ``u``;
+    * ``gamma_coords(ref, u)`` -- the coordinates of the rows of ``u`` that
+      Gamma sees: the ``K`` leading coefficients for :class:`FiniteRank`, the
+      rows themselves otherwise;
+    * ``gamma_apply(ref, a)`` -- Gamma on coordinates, so that ``<u, Gamma v>``
+      is the dot product of ``gamma_coords(ref, u)`` with
+      ``gamma_apply(ref, gamma_coords(ref, v))``;
+    * ``quad_coords(ref, a)`` -- ``<u, Gamma u>`` from ``a = gamma_coords(ref, u)``;
     * ``quad_derivative(ref, u)`` -- per-row derivative of ``-(1/2) <u, Gamma u>``
       in ``theta``, for ``u`` of shape ``(B, dim)``;
     * ``precondition(ref, term)`` -- descent direction from a raw gradient;
@@ -112,6 +118,12 @@ class _Family:
 
     def with_theta(self, theta) -> "CovParam":
         return replace(self, **{self.param: theta})
+
+    def gamma_coords(self, ref, u: np.ndarray) -> np.ndarray:
+        return u
+
+    def quad(self, ref, u: np.ndarray) -> np.ndarray:
+        return self.quad_coords(ref, self.gamma_coords(ref, u))
 
     def check(self, ref) -> None:
         """Raise ``ValueError`` unless the family can live on ``ref``."""
@@ -146,8 +158,11 @@ class ScalarVariance(_Family):
     def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.sigma * rng.standard_normal((size, 1))
 
-    def quad(self, ref, u: np.ndarray) -> np.ndarray:
-        return (1.0 / self.sigma**2 - 1.0) * np.sum(u * u, axis=-1)
+    def gamma_apply(self, ref, a: np.ndarray) -> np.ndarray:
+        return (1.0 / self.sigma**2 - 1.0) * a
+
+    def quad_coords(self, ref, a: np.ndarray) -> np.ndarray:
+        return (1.0 / self.sigma**2 - 1.0) * np.sum(a * a, axis=-1)
 
     def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
         return np.sum(u * u, axis=-1) / self.sigma**3
@@ -167,7 +182,8 @@ class FiniteRank(_Family):
     The coefficient covariance of the fitted measure is ``B @ B``; the
     reference spectrum is kept beyond rank ``K = B.shape[0]``. The factor's
     eigendecomposition is taken once, here, and must show it positive
-    definite.
+    definite. Gamma acts on the ``K`` leading coefficients only, as the
+    ``K x K`` block ``B^{-2} - diag(1/lam^2)``, built once per reference.
     """
 
     factor: np.ndarray
@@ -202,12 +218,23 @@ class FiniteRank(_Family):
             raise ValueError(f"rank {self.rank} exceeds the {ref.n_modes} retained modes")
 
     def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
-        return sample_finite_rank(self.factor, ref, rng, size)
+        return _finite_rank_fields(self.factor, ref, rng, size)
 
-    def quad(self, ref, u: np.ndarray) -> np.ndarray:
-        v = ref.coeffs(u)[..., : self.rank]
-        gm = self._inv_sq - np.diag(1.0 / ref.lam2[: self.rank])
-        return np.einsum("...i,ij,...j->...", v, gm, v)
+    def _gamma_block(self, ref) -> np.ndarray:
+        built = self.__dict__.get("_block")
+        if built is None or built[0] is not ref:
+            built = (ref, self._inv_sq - np.diag(1.0 / ref.lam2[: self.rank]))
+            object.__setattr__(self, "_block", built)
+        return built[1]
+
+    def gamma_coords(self, ref, u: np.ndarray) -> np.ndarray:
+        return ref.coeffs(u)[..., : self.rank]
+
+    def gamma_apply(self, ref, a: np.ndarray) -> np.ndarray:
+        return a @ self._gamma_block(ref)
+
+    def quad_coords(self, ref, a: np.ndarray) -> np.ndarray:
+        return np.einsum("...i,ij,...j->...", a, self._gamma_block(ref), a)
 
     def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
         values, vectors = self._eig
@@ -245,8 +272,11 @@ class _Potential(_Family):
         precision = ref.path_precision_banded(self.theta, self.eps)
         return sample_tridiagonal_precision(precision, rng, size)
 
-    def quad(self, ref, u: np.ndarray) -> np.ndarray:
-        return (0.5 / self.eps**2) * ref.h * np.sum(self.theta * u * u, axis=-1)
+    def gamma_apply(self, ref, a: np.ndarray) -> np.ndarray:
+        return (0.5 / self.eps**2) * ref.h * (self.theta * a)
+
+    def quad_coords(self, ref, a: np.ndarray) -> np.ndarray:
+        return (0.5 / self.eps**2) * ref.h * np.sum(self.theta * a * a, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -389,28 +419,41 @@ def descent_direction_cov(spec: GaussianSpec, cov_term: np.ndarray | float):
 # Gaussian potential for proposal-informed pCN
 
 
-def phi_nu(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
-    """Potential of the fit against the reference, batched over rows of ``u``.
+class _GaussianPotential:
+    """The fit's potential against the reference, batched over rows of ``u``.
 
-    ``phi_nu(u) = -<u - m, C0^{-1}(m - m0)> + (1/2) <u - m, Gamma (u - m)>
-    - (1/2) |m - m0|^2_{C0}`` -- the log-density of the reference relative
-    to the fit, up to the (dropped) normalizing constants.
+    ``phi_nu(u) = -<w, shift> + (1/2) <w, Gamma w> + const`` with ``w = u - m``,
+    ``shift = C0^{-1}(m - m0)`` and ``const = -(1/2) |m - m0|^2_{C0}`` -- the
+    log-density of the reference relative to the fit, up to the (dropped)
+    normalizing constants. ``shift`` and ``const`` are computed once here.
     """
-    return make_gaussian_potential(spec)(u)
+
+    def __init__(self, spec: GaussianSpec) -> None:
+        ref = spec.ref
+        self.spec = spec
+        self.shift = ref.precision_apply(spec.mean - ref.mean0)
+        self.const = -0.5 * float(ref.cm_norm_sq(spec.mean - ref.mean0))
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        w = np.asarray(u, dtype=float) - self.spec.mean
+        return -self.spec.ref.inner(w, self.shift) + 0.5 * gamma_quad(self.spec, w) + self.const
+
+    def innovation_terms(self, xi: np.ndarray):
+        """``(<xi, shift>, gamma_coords(xi), <xi, Gamma xi>)`` for each row of ``xi``.
+
+        These are the parts of ``phi_nu`` at a pCN proposal
+        ``w = c (u - m) + beta xi`` that do not depend on the state ``u``.
+        """
+        cov, ref = self.spec.cov, self.spec.ref
+        # a copy when the coordinates are a slice of a larger transform, which
+        # must not stay alive for the whole block
+        coords = np.ascontiguousarray(cov.gamma_coords(ref, xi))
+        return ref.quad_weight * (xi @ self.shift), coords, cov.quad_coords(ref, coords)
 
 
 def make_gaussian_potential(spec: GaussianSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Precompute the static pieces of :func:`phi_nu` for tight chain loops."""
-    ref = spec.ref
-    shift = ref.precision_apply(spec.mean - ref.mean0)
-    const = -0.5 * float(ref.cm_norm_sq(spec.mean - ref.mean0))
-    mean = spec.mean
-
-    def potential(u: np.ndarray) -> np.ndarray:
-        w = np.asarray(u, dtype=float) - mean
-        return -ref.inner(w, shift) + 0.5 * gamma_quad(spec, w) + const
-
-    return potential
+    """The fit's potential ``phi_nu`` against the reference (see :class:`_GaussianPotential`)."""
+    return _GaussianPotential(spec)
 
 
 def log_density_ratio_centered(

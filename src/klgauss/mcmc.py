@@ -14,6 +14,15 @@ to an independence sampler at ``beta = 1``.
 The ``beta = 1`` case is special-cased: proposals no longer depend on the
 state, so their potentials are evaluated in vectorized blocks and the
 accept scan runs over plain floats.
+
+The informed chain never evaluates the Gaussian part of its residual
+potential on a proposal. The proposal's offset from the fit's mean,
+``w = c d + beta xi`` with ``d = u - mean``, is linear, so ``<w, shift>`` and
+``<w, Gamma w>`` split into terms of the innovation ``xi``, computed once per
+innovation block, terms of ``d``, carried with the state and replaced from
+the proposal's own on accept, and the cross term ``<xi, Gamma d>``, one
+short dot product per step. Only the target's ``phi`` runs on each
+proposal.
 """
 
 from __future__ import annotations
@@ -71,6 +80,8 @@ class ChainDiag:
     ``probe`` holds the probe coordinate at every ``thin``-th step together
     with the cumulative acceptance count at that moment (``accepts_cum``).
     ``node_mean``/``node_var`` average the state over every post-burn step.
+    ``final_potential`` is the acceptance potential the chain holds for
+    ``final_state``.
     """
 
     steps: int
@@ -83,6 +94,7 @@ class ChainDiag:
     node_var: np.ndarray
     nonfinite_proposals: int
     final_state: np.ndarray
+    final_potential: float
 
     @property
     def probe_post_burn(self) -> np.ndarray:
@@ -124,14 +136,21 @@ def run_chain(
     sampler: Callable[[np.random.Generator, int], np.ndarray],
     config: ChainConfig,
     rng: np.random.Generator,
+    gaussian=None,
 ) -> ChainDiag:
     """Run a pCN chain started at the proposal mean.
 
     ``potential`` must map a batch of fields ``(B, dim)`` to ``(B,)``;
     ``sampler(rng, size)`` must return centred proposal innovations. A
     proposal whose potential is not finite is rejected and counted.
+    ``gaussian``, if given, is the Gaussian potential of the fit centred at
+    ``mean`` (from :func:`~klgauss.gaussians.make_gaussian_potential`); the
+    chain then accepts on ``potential - gaussian``, with the Gaussian part
+    carried as the module docstring describes.
     """
     mean = np.asarray(mean, dtype=float)
+    if gaussian is not None and not np.array_equal(gaussian.spec.mean, mean):
+        raise ValueError("the Gaussian potential is centred away from the chain's mean")
     dim = mean.size
     probe_index = config.probe_index if config.probe_index is not None else dim // 2
     if not 0 <= probe_index < dim:
@@ -142,6 +161,8 @@ def run_chain(
 
     state = mean.copy()
     pot_state = float(np.asarray(potential(state[None]))[0])
+    if gaussian is not None:
+        pot_state -= gaussian.const  # the Gaussian part at its own mean
     if not np.isfinite(pot_state):
         raise ValueError("potential is not finite at the proposal mean")
 
@@ -158,6 +179,9 @@ def run_chain(
             log_u = np.log(accept_rng.random(block))
             proposals = mean + xi
             pot_prop = np.asarray(potential(proposals), dtype=float)
+            if gaussian is not None:
+                s_xi, _, q_xi = gaussian.innovation_terms(xi)
+                pot_prop = pot_prop - (-s_xi + 0.5 * q_xi + gaussian.const)
             nonfinite += int((~np.isfinite(pot_prop)).sum())
             for i in range(block):
                 step += 1
@@ -174,22 +198,40 @@ def run_chain(
                     acc.probe_at(step, float(state[probe_index]), accepted)
         acc.state_run(state, run_start, run_len)
     else:
-        contract = np.sqrt(1.0 - config.beta**2)
+        # plain floats: numpy scalars would slow the per-step arithmetic below
+        contract, beta = float(np.sqrt(1.0 - config.beta**2)), float(config.beta)
+        if gaussian is not None:
+            cov, ref, const = gaussian.spec.cov, gaussian.spec.ref, gaussian.const
+            gamma_apply = cov.gamma_apply
+            cc, cb2, bb = contract * contract, 2.0 * contract * beta, beta * beta
+            # <d, shift>, <d, Gamma d> and Gamma d (in Gamma's coordinates), d = state - mean
+            s_d = q_d = 0.0
+            g_d = np.zeros_like(cov.gamma_coords(ref, mean))
         step = 0
         while step < config.steps:
             block = min(chunk, config.steps - step)
             xi = sampler(noise_rng, block)
             log_u = np.log(accept_rng.random(block))
+            if gaussian is not None:
+                s_xi, a_xi, q_xi = gaussian.innovation_terms(xi)
+                s_xi, q_xi = s_xi.tolist(), q_xi.tolist()
             for i in range(block):
                 step += 1
-                prop = mean + contract * (state - mean) + config.beta * xi[i]
+                prop = mean + contract * (state - mean) + beta * xi[i]
                 pot_prop = float(np.asarray(potential(prop[None]))[0])
+                if gaussian is not None:
+                    s_w = contract * s_d + beta * s_xi[i]
+                    q_w = cc * q_d + cb2 * float(a_xi[i].dot(g_d)) + bb * q_xi[i]
+                    pot_prop -= -s_w + 0.5 * q_w + const
                 if not np.isfinite(pot_prop):
                     nonfinite += 1
                 elif log_u[i] < pot_state - pot_prop:
                     state = prop
                     pot_state = pot_prop
                     accepted += 1
+                    if gaussian is not None:
+                        s_d, q_d = s_w, q_w
+                        g_d = contract * g_d + beta * gamma_apply(ref, a_xi[i])
                 acc.state_run(state, step, 1)
                 if step % config.thin == 0:
                     acc.probe_at(step, float(state[probe_index]), accepted)
@@ -208,6 +250,7 @@ def run_chain(
         node_var=np.maximum(node_var, 0.0),
         nonfinite_proposals=nonfinite,
         final_state=state.copy(),
+        final_potential=pot_state,
     )
 
 
@@ -234,12 +277,16 @@ def reference_chain(problem, ref, config: ChainConfig,
 
 def fit_chain(problem, spec: GaussianSpec, config: ChainConfig,
               rng: np.random.Generator) -> ChainDiag:
-    """Proposal-informed pCN around a fitted Gaussian."""
+    """Proposal-informed pCN around a fitted Gaussian.
+
+    Accepts on :func:`residual_potential`, with its Gaussian part computed
+    per innovation block and carried per state rather than evaluated per step.
+    """
     def sampler(rng_: np.random.Generator, size: int) -> np.ndarray:
         return sample_centered(spec, rng_, size)
 
-    return run_chain(residual_potential(problem, spec), spec.mean, sampler,
-                     config, rng)
+    return run_chain(problem.phi, spec.mean, sampler, config, rng,
+                     gaussian=make_gaussian_potential(spec))
 
 
 # ---------------------------------------------------------------------------

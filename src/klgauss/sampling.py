@@ -99,6 +99,17 @@ def sample_finite_rank(
     if not np.allclose(factor, factor.T, atol=1e-10 * max(1.0, np.abs(factor).max())):
         raise ValueError("factor must be symmetric")
     require_spd(np.linalg.eigvalsh(factor), "finite-rank factor")
+    return _finite_rank_fields(factor, ref, rng, size)
+
+
+def _finite_rank_fields(
+    factor: np.ndarray,
+    ref: PeriodicReference,
+    rng: np.random.Generator,
+    size: int,
+) -> np.ndarray:
+    """:func:`sample_finite_rank` for a factor its caller has already checked."""
+    k = factor.shape[0]
     xi = rng.standard_normal((size, ref.n_modes))
     coeffs = np.empty_like(xi)
     coeffs[:, :k] = xi[:, :k] @ factor.T

@@ -1,24 +1,34 @@
 """pCN chains: stream discipline, invariance, diagnostics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from klgauss import (
     BridgeReference,
     ChainConfig,
+    ConstantPotential,
+    DarcyProblem,
+    DiffusionProblem,
+    FiniteRank,
     GaussianSpec,
+    PeriodicReference,
     ScalarDoubleWell,
     ScalarReference,
     ScalarVariance,
+    VariablePotential,
     acceptance_lower_bound,
     autocovariance,
     expected_acceptance,
     fit_chain,
     iact,
-    phi_nu,
+    make_gaussian_potential,
     reference_chain,
     residual_potential,
     run_chain,
+    sample_centered,
+    synthesize_darcy_data,
 )
 
 
@@ -60,6 +70,35 @@ def naive_chain(potential, mean, sampler, config, rng):
         "probe_steps": np.array(probe_steps),
         "accepts_cum": np.array(acc_cum),
     }
+
+
+def informed_case(family, dim=32):
+    """A target problem and a fit of the given family, off the reference.
+
+    Each fit has a mean away from the reference mean and a covariance
+    parameter away from the reference, so that both the shift and the Gamma
+    parts of the Gaussian potential are nonzero, and acceptance sits well
+    inside (0, 1) at beta = 0.6 and 1.
+    """
+    if family == "scalar-variance":
+        return (ScalarDoubleWell(0.05),
+                GaussianSpec(np.array([0.1]), ScalarVariance(0.3), ScalarReference()))
+    if family == "finite-rank":
+        ref = PeriodicReference(dim, 1.0)
+        u_true, data = synthesize_darcy_data(dim, 0.1, np.random.default_rng(0))
+        factor = 0.6 * np.diag(ref.lam[:2]) + 0.01 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        spec = GaussianSpec(ref.synth(ref.coeffs(0.5 * u_true)), FiniteRank(factor), ref)
+        return DarcyProblem(dim, 0.1, data), spec
+    t = np.arange(1, dim + 1) / (dim + 1)
+    ref = BridgeReference(dim, mean0=t)
+    if family == "constant-potential":
+        cov = ConstantPotential(2.0, 0.3)
+    else:
+        cov = VariablePotential(1.0 + 0.5 * np.random.default_rng(2).random(dim), 0.3)
+    return DiffusionProblem(0.3, dim), GaussianSpec(t + 0.1 * np.sin(np.pi * t), cov, ref)
+
+
+FAMILIES = ["scalar-variance", "finite-rank", "constant-potential", "variable-potential"]
 
 
 def gaussian_sampler(dim):
@@ -123,25 +162,70 @@ def test_run_chain_spans_batch_boundaries():
 
 @pytest.mark.parametrize("beta", [0.6, 1.0])
 def test_run_chain_independent_of_block_budget(beta, monkeypatch):
-    # the innovation block size follows an element budget; it must not move the chain
+    # the innovation block size follows an element budget; it must not move the
+    # chain, nor may the informed chain's carried Gaussian terms across blocks
     import klgauss.mcmc as mcmc
 
-    ref = BridgeReference(32)
+    dim = 32
+    ref = BridgeReference(dim)
     config = ChainConfig(steps=2500, beta=beta, thin=10, burn_frac=0.1)
+    chains = {
+        "reference": partial(run_chain, soft_potential, ref.mean0, ref.sample_centered),
+        "finite-rank": partial(fit_chain, *informed_case("finite-rank", dim)),
+        "variable-potential": partial(fit_chain, *informed_case("variable-potential", dim)),
+    }
 
     def run():
-        return run_chain(soft_potential, ref.mean0, ref.sample_centered, config,
-                         np.random.default_rng(19))
+        return {name: chain(config, np.random.default_rng(19))
+                for name, chain in chains.items()}
 
     big = run()  # 2500 steps in one block
-    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 97 * ref.dim)
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 97 * dim)
     small = run()  # 25 full blocks of 97 rows and a partial one
-    for field in ("steps", "burn", "acceptance_rate", "nonfinite_proposals"):
-        assert getattr(small, field) == getattr(big, field)
-    for field in ("probe_steps", "probe", "accepts_cum", "node_mean", "node_var",
-                  "final_state"):
-        assert np.array_equal(getattr(small, field), getattr(big, field))
-    assert 0.0 < big.acceptance_rate < 1.0
+    for name in chains:
+        for field in ("steps", "burn", "acceptance_rate", "nonfinite_proposals"):
+            assert getattr(small[name], field) == getattr(big[name], field), name
+        for field in ("probe_steps", "probe", "accepts_cum", "node_mean", "node_var",
+                      "final_state"):
+            assert np.array_equal(getattr(small[name], field), getattr(big[name], field)), name
+        assert 0.0 < big[name].acceptance_rate < 1.0, name
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_chain_matches_naive_residual_chain(family, beta):
+    # the informed chain carries the Gaussian part of its potential instead of
+    # evaluating it per proposal; it must make the oracle's every decision
+    problem, spec = informed_case(family)
+    config = ChainConfig(steps=1500, beta=beta, thin=10, burn_frac=0.1)
+    got = fit_chain(problem, spec, config, np.random.default_rng(21))
+    want = naive_chain(residual_potential(problem, spec), spec.mean,
+                       partial(sample_centered, spec), config, np.random.default_rng(21))
+    assert round(got.acceptance_rate * config.steps) == round(want["acceptance"] * config.steps)
+    assert 0.0 < got.acceptance_rate < 1.0
+    assert np.array_equal(got.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(got.probe, want["probe"])
+    assert np.array_equal(got.final_state, want["final"])
+    oracle = residual_potential(problem, spec)(got.final_state[None])[0]
+    assert got.final_potential == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+def test_informed_chain_potential_does_not_drift():
+    # 20000 beta < 1 steps update the carried terms on every accept
+    problem, spec = informed_case("finite-rank", dim=128)
+    config = ChainConfig(steps=20_000, beta=0.6, thin=100)
+    diag = fit_chain(problem, spec, config, np.random.default_rng(23))
+    assert diag.acceptance_rate > 0.1
+    oracle = residual_potential(problem, spec)(diag.final_state[None])[0]
+    assert diag.final_potential == pytest.approx(oracle, rel=1e-9)
+
+
+def test_run_chain_rejects_gaussian_potential_off_its_mean():
+    problem, spec = informed_case("scalar-variance")
+    config = ChainConfig(steps=10, beta=0.5)
+    with pytest.raises(ValueError):
+        run_chain(problem.phi, spec.mean + 1.0, partial(sample_centered, spec), config,
+                  np.random.default_rng(0), gaussian=make_gaussian_potential(spec))
 
 
 def test_zero_potential_accepts_everything_and_preserves_marginals():
@@ -185,7 +269,7 @@ def test_residual_potential_subtracts_gaussian_part():
     problem = ScalarDoubleWell(0.05)
     pot = residual_potential(problem, spec)
     u = np.array([[0.3], [-0.5], [1.0]])
-    assert np.allclose(pot(u), problem.phi(u) - phi_nu(spec, u))
+    assert np.allclose(pot(u), problem.phi(u) - make_gaussian_potential(spec)(u))
 
 
 def test_chain_wrappers_run():
