@@ -53,8 +53,6 @@ from .objective import (
     KLEstimate,
     estimate_dkl,
     estimate_gradients,
-    grad_cov,
-    grad_mean,
     reduced_discrepancy,
     scalar_acceptance_asymptote,
     scalar_dkl_analytic,
@@ -132,8 +130,6 @@ __all__ = [
     "fourier_eigenvalues",
     "fourier_mode",
     "gamma_quad",
-    "grad_cov",
-    "grad_mean",
     "iact",
     "indexed_sample",
     "log_density_ratio_centered",

@@ -11,9 +11,17 @@ Gaussian and the *residual* potential (target potential minus the fit's
 Gaussian potential) it is the proposal-informed variant, which degenerates
 to an independence sampler at ``beta = 1``.
 
-The ``beta = 1`` case is special-cased: proposals no longer depend on the
-state, so their potentials are evaluated in vectorized blocks and the
-accept scan runs over plain floats.
+The chain prefetches. While proposals are rejected the state does not
+move, so the next proposals are known ahead of time. The chain builds a
+*window* of them from the current state, evaluates their potentials in one
+call and scans the rows, as plain floats, in order. The first accept moves
+the state and throws the rest of the window away. The window starts at one
+row, doubles after each window in which every row was rejected and goes
+back to one row on an accept; it never reaches past the current innovation
+block, so the block's element budget still bounds memory. At ``beta = 1``
+proposals do not depend on the state at all: the window is the whole block
+and an accept keeps it. The node moments are added once per run of equal
+states, not once per step.
 
 The informed chain never evaluates the Gaussian part of its residual
 potential on a proposal. The proposal's offset from the fit's mean,
@@ -21,12 +29,14 @@ potential on a proposal. The proposal's offset from the fit's mean,
 ``<w, Gamma w>`` split into terms of the innovation ``xi``, computed once per
 innovation block, terms of ``d``, carried with the state and replaced from
 the proposal's own on accept, and the cross term ``<xi, Gamma d>``, one
-short dot product per step. Only the target's ``phi`` runs on each
-proposal.
+short dot product per step. At ``beta = 1`` the terms of ``d`` drop out and
+the Gaussian part is subtracted from the whole window at once. Only the
+target's ``phi`` runs on each proposal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -170,71 +180,67 @@ def run_chain(
     accepted = 0
     nonfinite = 0
 
-    if config.beta == 1.0:
-        run_start, run_len = 1, 0
-        step = 0
-        while step < config.steps:
-            block = min(chunk, config.steps - step)
-            xi = sampler(noise_rng, block)
-            log_u = np.log(accept_rng.random(block))
-            proposals = mean + xi
-            pot_prop = np.asarray(potential(proposals), dtype=float)
-            if gaussian is not None:
-                s_xi, _, q_xi = gaussian.innovation_terms(xi)
-                pot_prop = pot_prop - (-s_xi + 0.5 * q_xi + gaussian.const)
-            nonfinite += int((~np.isfinite(pot_prop)).sum())
-            for i in range(block):
-                step += 1
-                t = pot_state - pot_prop[i]
-                if log_u[i] < t:  # False whenever pot_prop[i] is nan/inf
-                    acc.state_run(state, run_start, run_len)
-                    state = proposals[i]
-                    pot_state = float(pot_prop[i])
-                    run_start, run_len = step, 1
-                    accepted += 1
-                else:
-                    run_len += 1
-                if step % config.thin == 0:
-                    acc.probe_at(step, float(state[probe_index]), accepted)
-        acc.state_run(state, run_start, run_len)
-    else:
-        # plain floats: numpy scalars would slow the per-step arithmetic below
-        contract, beta = float(np.sqrt(1.0 - config.beta**2)), float(config.beta)
+    # plain floats: numpy scalars would slow the per-step arithmetic below
+    contract, beta = float(np.sqrt(1.0 - config.beta**2)), float(config.beta)
+    independent = config.beta == 1.0  # proposals do not depend on the state
+    carried = gaussian is not None and not independent
+    if carried:
+        cov, ref, const = gaussian.spec.cov, gaussian.spec.ref, gaussian.const
+        gamma_apply = cov.gamma_apply
+        cc, cb2, bb = contract * contract, 2.0 * contract * beta, beta * beta
+        # <d, shift>, <d, Gamma d> and Gamma d (in Gamma's coordinates), d = state - mean
+        s_d = q_d = 0.0
+        g_d = np.zeros_like(cov.gamma_coords(ref, mean))
+    # at beta = 1 the window is the whole block and an accept keeps it
+    run_start, window = 1, chunk if independent else 1
+    step = 0
+    while step < config.steps:
+        block = min(chunk, config.steps - step)
+        xi = sampler(noise_rng, block)
+        log_u = np.log(accept_rng.random(block)).tolist()
         if gaussian is not None:
-            cov, ref, const = gaussian.spec.cov, gaussian.spec.ref, gaussian.const
-            gamma_apply = cov.gamma_apply
-            cc, cb2, bb = contract * contract, 2.0 * contract * beta, beta * beta
-            # <d, shift>, <d, Gamma d> and Gamma d (in Gamma's coordinates), d = state - mean
-            s_d = q_d = 0.0
-            g_d = np.zeros_like(cov.gamma_coords(ref, mean))
-        step = 0
-        while step < config.steps:
-            block = min(chunk, config.steps - step)
-            xi = sampler(noise_rng, block)
-            log_u = np.log(accept_rng.random(block))
-            if gaussian is not None:
-                s_xi, a_xi, q_xi = gaussian.innovation_terms(xi)
+            s_xi, a_xi, q_xi = gaussian.innovation_terms(xi)
+            if carried:
                 s_xi, q_xi = s_xi.tolist(), q_xi.tolist()
-            for i in range(block):
+        lo = 0
+        while lo < block:
+            # until an accept the state holds, so the next proposals are known
+            hi = min(lo + window, block)
+            proposals = mean + contract * (state - mean) + beta * xi[lo:hi]
+            pot_window = np.asarray(potential(proposals), dtype=float)
+            if gaussian is not None and independent:
+                pot_window = pot_window - (-s_xi + 0.5 * q_xi + gaussian.const)
+            pot_window = pot_window.tolist()
+            window = min(2 * window, chunk)
+            for i in range(lo, hi):
                 step += 1
-                prop = mean + contract * (state - mean) + beta * xi[i]
-                pot_prop = float(np.asarray(potential(prop[None]))[0])
-                if gaussian is not None:
+                pot_prop = pot_window[i - lo]
+                if carried:
                     s_w = contract * s_d + beta * s_xi[i]
                     q_w = cc * q_d + cb2 * float(a_xi[i].dot(g_d)) + bb * q_xi[i]
                     pot_prop -= -s_w + 0.5 * q_w + const
-                if not np.isfinite(pot_prop):
+                if not math.isfinite(pot_prop):
                     nonfinite += 1
                 elif log_u[i] < pot_state - pot_prop:
-                    state = prop
+                    acc.state_run(state, run_start, step - run_start)
+                    state = proposals[i - lo]
                     pot_state = pot_prop
+                    run_start = step
                     accepted += 1
-                    if gaussian is not None:
+                    if carried:
                         s_d, q_d = s_w, q_w
                         g_d = contract * g_d + beta * gamma_apply(ref, a_xi[i])
-                acc.state_run(state, step, 1)
+                    if not independent:
+                        # the rest of the window was built from the old state; the
+                        # copy lets the window's array go
+                        state, window = state.copy(), 1
+                        if step % config.thin == 0:
+                            acc.probe_at(step, float(state[probe_index]), accepted)
+                        break
                 if step % config.thin == 0:
                     acc.probe_at(step, float(state[probe_index]), accepted)
+            lo = i + 1
+    acc.state_run(state, run_start, step + 1 - run_start)
 
     count = max(acc.count, 1)
     node_mean = acc.node_sum / count

@@ -40,8 +40,6 @@ __all__ = [
     "reduced_discrepancy",
     "estimate_dkl",
     "estimate_gradients",
-    "grad_mean",
-    "grad_cov",
     "scalar_sigma_opt",
     "scalar_dkl_analytic",
     "scalar_acceptance_asymptote",
@@ -191,16 +189,6 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray) -> Gradie
         cov=cov_term,
         estimate=_kl_estimate(spec, _normalized_log_weights(spec, None, batch), delta0, quad),
     )
-
-
-def grad_mean(spec: GaussianSpec, problem, batch: np.ndarray) -> np.ndarray:
-    """Mean-parameter gradient field on a frozen centred batch."""
-    return estimate_gradients(spec, problem, batch).mean
-
-
-def grad_cov(spec: GaussianSpec, problem, batch: np.ndarray) -> np.ndarray | float:
-    """Covariance-parameter gradient on a frozen centred batch."""
-    return estimate_gradients(spec, problem, batch).cov
 
 
 # ---------------------------------------------------------------------------

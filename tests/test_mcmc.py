@@ -42,7 +42,7 @@ def naive_chain(potential, mean, sampler, config, rng):
     state = mean.copy()
     pot_state = float(potential(state[None])[0])
     burn = int(config.burn_frac * config.steps)
-    accepted = 0
+    accepted = nonfinite = 0
     kept = []
     probe, probe_steps, acc_cum = [], [], []
     probe_index = (config.probe_index if config.probe_index is not None
@@ -50,6 +50,7 @@ def naive_chain(potential, mean, sampler, config, rng):
     for k in range(config.steps):
         prop = mean + contract * (state - mean) + config.beta * xi[k]
         pot_prop = float(potential(prop[None])[0])
+        nonfinite += not np.isfinite(pot_prop)
         if np.isfinite(pot_prop) and log_u[k] < pot_state - pot_prop:
             state = prop
             pot_state = pot_prop
@@ -69,6 +70,7 @@ def naive_chain(potential, mean, sampler, config, rng):
         "probe": np.array(probe),
         "probe_steps": np.array(probe_steps),
         "accepts_cum": np.array(acc_cum),
+        "nonfinite": nonfinite,
     }
 
 
@@ -210,6 +212,43 @@ def test_fit_chain_matches_naive_residual_chain(family, beta):
     assert got.final_potential == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
+def steep_potential(fields):
+    return 10.0 * np.sum((fields - 0.2) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("chain", ["run_chain", "fit_chain"])
+def test_long_rejection_runs_match_naive_chain(chain, monkeypatch):
+    # below 5% acceptance the beta < 1 windows double over long rejection runs
+    # and meet the ends of 37-row innovation blocks; the chain must still make
+    # every one of the oracle's decisions
+    import klgauss.mcmc as mcmc
+
+    if chain == "run_chain":
+        dim = 4
+        args = (steep_potential, np.zeros(dim), gaussian_sampler(dim))
+        run, oracle_args = partial(run_chain, *args), args
+        config = ChainConfig(steps=3000, beta=0.7, thin=7, burn_frac=0.1)
+    else:
+        dim = 32
+        _, spec = informed_case("variable-potential", dim)
+        problem = DiffusionProblem(0.08, dim)  # sharper than the fit: few accepts
+        run = partial(fit_chain, problem, spec)
+        oracle_args = (residual_potential(problem, spec), spec.mean,
+                       partial(sample_centered, spec))
+        config = ChainConfig(steps=3000, beta=0.8, thin=7, burn_frac=0.1)
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 37 * dim)
+    got = run(config, np.random.default_rng(31))
+    want = naive_chain(*oracle_args, config, np.random.default_rng(31))
+    assert 0.0 < got.acceptance_rate < 0.05
+    assert got.acceptance_rate == want["acceptance"]
+    assert np.array_equal(got.probe_steps, want["probe_steps"])
+    assert np.array_equal(got.probe, want["probe"])
+    assert np.array_equal(got.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(got.final_state, want["final"])
+    assert np.allclose(got.node_mean, want["node_mean"])
+    assert np.allclose(got.node_var, want["node_var"], atol=1e-12)
+
+
 def test_informed_chain_potential_does_not_drift():
     # 20000 beta < 1 steps update the carried terms on every accept
     problem, spec = informed_case("finite-rank", dim=128)
@@ -255,6 +294,68 @@ def test_nonfinite_proposals_are_rejected_and_counted():
     with pytest.raises(ValueError):
         run_chain(lambda u: np.full(u.shape[0], np.nan), np.zeros(1),
                   gaussian_sampler(1), config, np.random.default_rng(0))
+
+
+def test_nonfinite_proposals_below_beta_one_count_only_scanned_rows():
+    # at beta < 1 a window's rows after an accept are thrown away unscanned;
+    # the non-finite ones among them are not proposals the chain made
+    returned = []
+
+    def spiky(fields):
+        out = np.where(fields[..., 0] > 0.5, np.inf, steep_potential(fields))
+        returned.append(int((~np.isfinite(out)).sum()))
+        return out
+
+    config = ChainConfig(steps=3000, beta=0.7, thin=10)
+    diag = run_chain(spiky, np.zeros(2), gaussian_sampler(2), config,
+                     np.random.default_rng(3))
+    batched = sum(returned)
+    want = naive_chain(spiky, np.zeros(2), gaussian_sampler(2), config,
+                       np.random.default_rng(3))
+    assert diag.nonfinite_proposals == want["nonfinite"] > 100
+    assert batched > diag.nonfinite_proposals
+    assert np.array_equal(diag.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(diag.final_state, want["final"])
+    assert diag.final_state[0] <= 0.5
+
+
+def test_chain_batches_rejection_runs_within_blocks(monkeypatch):
+    # a scripted potential accepts each step with probability 0.06 whatever the
+    # field: it knows which row of a call the chain accepts, and so how many
+    # rows of the current innovation block remain before every call
+    import klgauss.mcmc as mcmc
+
+    dim, block, steps = 3, 50, 5000
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", block * dim)
+    schedule = np.random.default_rng(41).random(steps) < 0.06
+    calls = []  # (rows asked for, rows left in the innovation block)
+    pos = {"step": 0, "left": 0}
+
+    def sampler(rng, size):
+        assert pos["left"] == 0  # the last block was used up
+        pos["left"] = size
+        return rng.standard_normal((size, dim))
+
+    def scripted(fields):
+        if not calls:
+            calls.append(None)  # the potential at the chain's start
+            return np.zeros(1)
+        rows = fields.shape[0]
+        calls.append((rows, pos["left"]))
+        accept = schedule[pos["step"]: pos["step"] + rows]
+        used = int(np.argmax(accept)) + 1 if accept.any() else rows
+        pos["step"] += used
+        pos["left"] -= used
+        return np.where(accept, 0.0, 1e300)
+
+    diag = run_chain(scripted, np.zeros(dim), sampler, ChainConfig(steps, 0.6),
+                     np.random.default_rng(5))
+    window_calls = calls[1:]
+    assert diag.acceptance_rate == schedule.mean() <= 0.1
+    assert pos["step"] == steps
+    assert len(window_calls) <= steps / 3
+    assert all(rows <= left for rows, left in window_calls)
+    assert max(rows for rows, _ in window_calls) > 8
 
 
 def test_probe_index_bounds_checked():
