@@ -17,7 +17,6 @@ and diagnostics), :mod:`~klgauss.cli` (command-line front end).
 """
 
 from .errors import (
-    DegenerateWeightsError,
     NonFiniteObjectiveError,
     NotACovarianceError,
 )
@@ -59,10 +58,6 @@ from .objective import (
     scalar_sigma_opt,
 )
 from .sampling import (
-    FieldSample,
-    ReweightedExpectation,
-    indexed_sample,
-    reweighted_expectation,
     require_spd,
     sample_finite_rank,
     sample_ou_bridge,
@@ -99,7 +94,6 @@ __all__ = [
     "ChainDiag",
     "ConstantPotential",
     "DarcyProblem",
-    "DegenerateWeightsError",
     "DiffusionProblem",
     "FiniteRank",
     "GaussianSpec",
@@ -112,8 +106,6 @@ __all__ = [
     "RMTrace",
     "ScalarDoubleWell",
     "ScalarReference",
-    "FieldSample",
-    "ReweightedExpectation",
     "ScalarVariance",
     "StepSchedule",
     "VariablePotential",
@@ -131,7 +123,6 @@ __all__ = [
     "fourier_mode",
     "gamma_quad",
     "iact",
-    "indexed_sample",
     "log_density_ratio_centered",
     "make_gaussian_potential",
     "project_box",
@@ -140,7 +131,6 @@ __all__ = [
     "reference_chain",
     "require_spd",
     "residual_potential",
-    "reweighted_expectation",
     "rm_minimize",
     "run_chain",
     "sample_centered",

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, NonFiniteObjectiveError, NotACovarianceError
+from .errors import NonFiniteObjectiveError, NotACovarianceError
 from .gaussians import (
     FAMILIES,
     ConstantPotential,
@@ -902,7 +902,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteObjectiveError, NotACovarianceError, DegenerateWeightsError) as exc:
+    except (NonFiniteObjectiveError, NotACovarianceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

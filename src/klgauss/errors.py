@@ -3,7 +3,6 @@
 __all__ = [
     "NotACovarianceError",
     "NonFiniteObjectiveError",
-    "DegenerateWeightsError",
 ]
 
 
@@ -13,7 +12,3 @@ class NotACovarianceError(ValueError):
 
 class NonFiniteObjectiveError(RuntimeError):
     """An objective, gradient or weight evaluated to NaN/inf where that is fatal."""
-
-
-class DegenerateWeightsError(RuntimeError):
-    """Importance weights collapsed onto too few samples to be usable."""

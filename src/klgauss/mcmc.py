@@ -20,8 +20,16 @@ row, doubles after each window in which every row was rejected and goes
 back to one row on an accept; it never reaches past the current innovation
 block, so the block's element budget still bounds memory. At ``beta = 1``
 proposals do not depend on the state at all: the window is the whole block
-and an accept keeps it. The node moments are added once per run of equal
-states, not once per step.
+and an accept keeps it.
+
+An accept costs the scan no array work: it notes the accepted row and the
+step at which the new run of equal states starts. After each window the
+accepted rows are copied, with one fancy index, into a fixed buffer of
+held states, so that no state keeps its window's array alive. Whenever the
+buffer is full, and once at the end, the node moments take the held runs
+with one weighted product each, the weights being the runs' post-burn
+lengths. The buffer follows an element budget of its own, so the sums do
+not depend on the innovation block size.
 
 The informed chain never evaluates the Gaussian part of its residual
 potential on a proposal. The proposal's offset from the fit's mean,
@@ -59,6 +67,7 @@ __all__ = [
 
 _CHUNK = 8192  # most innovation rows drawn at once
 _BLOCK_ELEMENTS = 1 << 20  # most innovation values drawn at once, whatever the dim
+_HELD_ELEMENTS = 1 << 16  # most accepted-state values held between two moment updates
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,8 @@ class ChainDiag:
 
     ``probe`` holds the probe coordinate at every ``thin``-th step together
     with the cumulative acceptance count at that moment (``accepts_cum``).
-    ``node_mean``/``node_var`` average the state over every post-burn step.
+    ``node_mean``/``node_var`` average the state over every post-burn step,
+    summed as runs of equal states weighted by their post-burn lengths.
     ``final_potential`` is the acceptance potential the chain holds for
     ``final_state``.
     """
@@ -111,33 +121,61 @@ class ChainDiag:
         return self.probe[self.probe_steps > self.burn]
 
 
-class _Accumulator:
-    """Streaming first and second moments plus thinned probe records."""
+class _HeldStates:
+    """Node moments of a chain, added a group of held states at a time.
 
-    def __init__(self, dim: int, burn: int, thin: int, probe_index: int):
-        self.burn = burn
-        self.thin = thin
-        self.probe_index = probe_index
+    Each state the chain accepts is copied into one fixed ``(G, dim)`` buffer,
+    together with the step at which its run of equal states started. Once
+    the buffer is full and the start of the next run is known, the group is
+    added with one weighted product per moment, the weights being the
+    post-burn lengths of the runs read off consecutive run starts. ``G``
+    follows an element budget of its own, so the grouping depends only on
+    the number of accepts, not on the innovation block size.
+    """
+
+    def __init__(self, first: np.ndarray, burn: int):
+        dim = first.size
+        size = max(1, _HELD_ELEMENTS // dim)
+        self.rows = np.empty((size, dim))
+        # the step each held run starts at, and a slot for the next run's start
+        self.starts = np.empty(size + 1, dtype=np.int64)
+        self.rows[0], self.starts[0], self.held = first, 1, 1
+        self.first_kept = burn + 1
         self.node_sum = np.zeros(dim)
         self.node_sq = np.zeros(dim)
-        self.count = 0
-        self.probe_steps: list[int] = []
-        self.probe: list[float] = []
-        self.accepts_cum: list[int] = []
 
-    def state_run(self, state: np.ndarray, first_step: int, length: int) -> None:
-        """The chain sat at ``state`` for steps first_step..first_step+length-1."""
-        lo = max(first_step, self.burn + 1)
-        hi = first_step + length
-        if hi > lo:
-            self.node_sum += (hi - lo) * state
-            self.node_sq += (hi - lo) * state * state
-            self.count += hi - lo
+    def hold(self, source: np.ndarray, taken: list[int], first_step: int) -> np.ndarray:
+        """Hold rows ``taken`` of ``source``; row ``r`` was proposed at step ``first_step + r``.
 
-    def probe_at(self, step: int, state_probe: float, accepts: int) -> None:
-        self.probe_steps.append(step)
-        self.probe.append(state_probe)
-        self.accepts_cum.append(accepts)
+        An accepted row's run starts at the step it was proposed at. Returns
+        the held copy of the last row: it stays in place until the chain has
+        accepted another state.
+        """
+        size = len(self.rows)
+        j = 0
+        while j < len(taken):
+            if self.held == size:
+                self.flush(first_step + taken[j])
+            k = min(size - self.held, len(taken) - j)
+            if k == 1:  # a lone row, as at every accept below beta = 1: no index array
+                self.rows[self.held] = source[taken[j]]
+                self.starts[self.held] = first_step + taken[j]
+            else:
+                part = np.asarray(taken[j: j + k])
+                self.rows[self.held: self.held + k] = source[part]
+                self.starts[self.held: self.held + k] = first_step + part
+            self.held += k
+            j += k
+        return self.rows[self.held - 1]
+
+    def flush(self, next_start: int) -> None:
+        """Add the held runs; the run after the last one starts at ``next_start``."""
+        self.starts[self.held] = next_start
+        weights = np.diff(np.maximum(self.starts[: self.held + 1], self.first_kept))
+        rows = self.rows[: self.held]
+        self.node_sum += weights @ rows
+        self.node_sq += weights @ (rows * rows)
+        self.held = 0
 
 
 def run_chain(
@@ -176,7 +214,9 @@ def run_chain(
     if not np.isfinite(pot_state):
         raise ValueError("potential is not finite at the proposal mean")
 
-    acc = _Accumulator(dim, burn, config.thin, probe_index)
+    held = _HeldStates(state, burn)
+    thin, state_probe = config.thin, float(state[probe_index])
+    records: list[float] = []  # step, probe value and accepts so far, per probe
     accepted = 0
     nonfinite = 0
 
@@ -192,7 +232,7 @@ def run_chain(
         s_d = q_d = 0.0
         g_d = np.zeros_like(cov.gamma_coords(ref, mean))
     # at beta = 1 the window is the whole block and an accept keeps it
-    run_start, window = 1, chunk if independent else 1
+    window = chunk if independent else 1
     step = 0
     while step < config.steps:
         block = min(chunk, config.steps - step)
@@ -206,12 +246,18 @@ def run_chain(
         while lo < block:
             # until an accept the state holds, so the next proposals are known
             hi = min(lo + window, block)
-            proposals = mean + contract * (state - mean) + beta * xi[lo:hi]
+            # the innovation part first, the state's added in place: one array of
+            # the window's size is made, not two
+            proposals = beta * xi[lo:hi]
+            proposals += mean + contract * (state - mean)
             pot_window = np.asarray(potential(proposals), dtype=float)
             if gaussian is not None and independent:
                 pot_window = pot_window - (-s_xi + 0.5 * q_xi + gaussian.const)
             pot_window = pot_window.tolist()
+            probe_window = proposals[:, probe_index].tolist()
             window = min(2 * window, chunk)
+            taken: list[int] = []  # accepted rows of the window
+            first_step = step + 1  # the step that row 0 of the window is proposed at
             for i in range(lo, hi):
                 step += 1
                 pot_prop = pot_window[i - lo]
@@ -222,36 +268,39 @@ def run_chain(
                 if not math.isfinite(pot_prop):
                     nonfinite += 1
                 elif log_u[i] < pot_state - pot_prop:
-                    acc.state_run(state, run_start, step - run_start)
-                    state = proposals[i - lo]
                     pot_state = pot_prop
-                    run_start = step
+                    state_probe = probe_window[i - lo]
+                    taken.append(i - lo)
                     accepted += 1
                     if carried:
                         s_d, q_d = s_w, q_w
                         g_d = contract * g_d + beta * gamma_apply(ref, a_xi[i])
                     if not independent:
-                        # the rest of the window was built from the old state; the
-                        # copy lets the window's array go
-                        state, window = state.copy(), 1
-                        if step % config.thin == 0:
-                            acc.probe_at(step, float(state[probe_index]), accepted)
+                        # the rest of the window was built from the old state
+                        window = 1
+                        if step % thin == 0:
+                            records += step, state_probe, accepted
                         break
-                if step % config.thin == 0:
-                    acc.probe_at(step, float(state[probe_index]), accepted)
+                if step % thin == 0:
+                    records += step, state_probe, accepted
+            if taken:
+                # held copies, so that no state keeps the window's array alive
+                state = held.hold(proposals, taken, first_step)
             lo = i + 1
-    acc.state_run(state, run_start, step + 1 - run_start)
+        proposals = None  # the block's last window goes before the next block is drawn
+    held.flush(config.steps + 1)
 
-    count = max(acc.count, 1)
-    node_mean = acc.node_sum / count
-    node_var = acc.node_sq / count - node_mean**2
+    count = config.steps - burn
+    node_mean = held.node_sum / count
+    node_var = held.node_sq / count - node_mean**2
+    probes = np.array(records, dtype=float).reshape(-1, 3)
     return ChainDiag(
         steps=config.steps,
         burn=burn,
         acceptance_rate=accepted / config.steps,
-        probe_steps=np.asarray(acc.probe_steps, dtype=int),
-        probe=np.asarray(acc.probe),
-        accepts_cum=np.asarray(acc.accepts_cum, dtype=int),
+        probe_steps=probes[:, 0].astype(int),
+        probe=probes[:, 1],
+        accepts_cum=probes[:, 2].astype(int),
         node_mean=node_mean,
         node_var=np.maximum(node_var, 0.0),
         nonfinite_proposals=nonfinite,

@@ -132,25 +132,25 @@ class DarcyProblem:
 
     # -- forward map ------------------------------------------------------
 
-    def _flow(self, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Running integral of ``exp(-u)`` at the nodes (incl. 1) and its total."""
+    def _flow(self, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Running integral of ``e = exp(-u)`` at the nodes (incl. 1), its total and ``e``."""
         e = np.exp(-np.asarray(fields, dtype=float))
         total = self.h * e.sum(axis=-1)
         seg = 0.5 * self.h * (e[..., :-1] + e[..., 1:])
         nodes = np.zeros(e.shape[:-1] + (self.n + 1,))
         nodes[..., 1:self.n] = np.cumsum(seg, axis=-1)
         nodes[..., self.n] = total
-        return nodes, total
+        return nodes, total, e
 
     def forward(self, fields: np.ndarray) -> np.ndarray:
         """Pressure at the grid nodes, shape ``fields.shape``."""
-        nodes, total = self._flow(fields)
+        nodes, total, _ = self._flow(fields)
         lo, hi = self.pressures
         return lo + (hi - lo) * nodes[..., : self.n] / total[..., None]
 
     def observe(self, fields: np.ndarray) -> np.ndarray:
         """Pressure at the observation points (linear in the running integral)."""
-        nodes, total = self._flow(fields)
+        nodes, total, _ = self._flow(fields)
         j_obs = ((1.0 - self._frac) * nodes[..., self._idx]
                  + self._frac * nodes[..., self._idx + 1])
         lo, hi = self.pressures
@@ -163,10 +163,7 @@ class DarcyProblem:
         return np.sum(r * r, axis=-1) / (2.0 * self.noise**2)
 
     def grad_phi(self, fields: np.ndarray) -> np.ndarray:
-        fields = np.asarray(fields, dtype=float)
-        e = np.exp(-fields)
-        total = self.h * e.sum(axis=-1)
-        nodes, _ = self._flow(fields)
+        nodes, total, e = self._flow(fields)
         j_obs = ((1.0 - self._frac) * nodes[..., self._idx]
                  + self._frac * nodes[..., self._idx + 1])
         lo, hi = self.pressures

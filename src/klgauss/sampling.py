@@ -11,53 +11,25 @@ Three constructions, all exact in distribution on the grid:
 * :func:`sample_ou_bridge` -- pinned Ornstein-Uhlenbeck path for a
   constant potential: a one-step autoregressive recursion in ``t`` plus a
   sinh-profile endpoint correction; the banded sampler's independent check.
-
-:func:`reweighted_expectation` estimates expectations under a
-variable-potential bridge by importance-reweighting constant-potential
-paths (potential frozen at its maximum, so every weight is >= 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
 
-from .errors import DegenerateWeightsError, NotACovarianceError
+from .errors import NotACovarianceError
 
 if TYPE_CHECKING:  # reference.py imports this module for its own sampler
     from .reference import PeriodicReference
 
 __all__ = [
-    "FieldSample",
-    "ReweightedExpectation",
     "sample_finite_rank",
     "sample_ou_bridge",
     "sample_tridiagonal_precision",
-    "reweighted_expectation",
-    "indexed_sample",
 ]
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """A single draw together with its seed provenance."""
-
-    values: np.ndarray
-    seed: int
-    index: int
-
-
-@dataclass(frozen=True)
-class ReweightedExpectation:
-    """Self-normalized importance estimate with its weight diagnostics."""
-
-    value: float
-    weights: np.ndarray
-    ess: float
-    frozen_potential: float
 
 
 def require_spd(eigenvalues: np.ndarray, what: str) -> None:
@@ -171,66 +143,3 @@ def sample_tridiagonal_precision(
         raise NotACovarianceError(f"precision is not positive definite: {exc}") from exc
     xi = rng.standard_normal((size, factor.shape[1]))
     return solve_banded((0, 1), factor, xi.T, check_finite=False).T
-
-
-def reweighted_expectation(
-    observable: Callable[[np.ndarray], np.ndarray],
-    potential: np.ndarray,
-    eps: float,
-    rng: np.random.Generator,
-    size: int,
-    *,
-    min_ess_fraction: float = 0.01,
-) -> ReweightedExpectation:
-    """Variable-potential bridge expectation via constant-potential paths.
-
-    Paths are drawn with the potential frozen at its maximum ``b_max``; the
-    density ratio to the target measure is ``exp(-Psi)`` with
-    ``Psi = (1/(4 eps^2)) * integral (b - b_max) z^2 dt <= 0``, so every
-    weight is at least one. Returns the self-normalized estimate of
-    ``E[observable]`` along with the weights and effective sample size.
-    """
-    b = np.asarray(potential, dtype=float)
-    n = b.shape[0]
-    h = 1.0 / (n + 1)
-    b_max = float(b.max())
-    paths = sample_ou_bridge(b_max, eps, n, rng, size)
-    psi = (h / (4.0 * eps**2)) * (paths**2 @ (b - b_max))
-    with np.errstate(over="ignore"):  # overflow -> inf -> the error below
-        weights = np.exp(-psi)
-    if not np.all(np.isfinite(weights)):
-        raise DegenerateWeightsError(
-            f"non-finite importance weights; largest exponent {float(-psi.max()):.3g}"
-        )
-    total = weights.sum()
-    ess = float(total**2 / np.sum(weights**2))
-    if ess < min_ess_fraction * size:
-        raise DegenerateWeightsError(
-            f"effective sample size {ess:.1f} of {size} is below "
-            f"{min_ess_fraction:.0%}; the potential varies too strongly"
-        )
-    values = np.asarray(observable(paths), dtype=float)
-    return ReweightedExpectation(
-        value=float(np.sum(weights * values) / total),
-        weights=weights,
-        ess=ess,
-        frozen_potential=b_max,
-    )
-
-
-def indexed_sample(
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    seed: int,
-    index: int,
-) -> FieldSample:
-    """Reproduce the ``index``-th draw of ``sampler`` under ``seed``.
-
-    ``sampler(rng, size)`` must be a batch sampler; the batch is re-generated
-    up to the requested index, so this is a provenance helper, not a fast
-    path.
-    """
-    if index < 0:
-        raise ValueError(f"draw index must be non-negative, got {index}")
-    rng = np.random.default_rng(seed)
-    batch = sampler(rng, index + 1)
-    return FieldSample(values=np.array(batch[index]), seed=seed, index=index)

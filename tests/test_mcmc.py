@@ -114,6 +114,10 @@ def soft_potential(fields):
     return 0.5 * np.sum(fields**2, axis=-1)
 
 
+def gentle_potential(fields):
+    return 0.01 * np.sum(fields**2, axis=-1)
+
+
 def test_chain_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(steps=0, beta=0.5)
@@ -173,6 +177,7 @@ def test_run_chain_independent_of_block_budget(beta, monkeypatch):
     config = ChainConfig(steps=2500, beta=beta, thin=10, burn_frac=0.1)
     chains = {
         "reference": partial(run_chain, soft_potential, ref.mean0, ref.sample_centered),
+        "accept-heavy": partial(run_chain, gentle_potential, ref.mean0, ref.sample_centered),
         "finite-rank": partial(fit_chain, *informed_case("finite-rank", dim)),
         "variable-potential": partial(fit_chain, *informed_case("variable-potential", dim)),
     }
@@ -191,6 +196,7 @@ def test_run_chain_independent_of_block_budget(beta, monkeypatch):
                       "final_state"):
             assert np.array_equal(getattr(small[name], field), getattr(big[name], field)), name
         assert 0.0 < big[name].acceptance_rate < 1.0, name
+    assert big["accept-heavy"].acceptance_rate > 0.9
 
 
 @pytest.mark.parametrize("beta", [0.6, 1.0])
@@ -247,6 +253,64 @@ def test_long_rejection_runs_match_naive_chain(chain, monkeypatch):
     assert np.array_equal(got.final_state, want["final"])
     assert np.allclose(got.node_mean, want["node_mean"])
     assert np.allclose(got.node_var, want["node_var"], atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0])
+def test_accept_heavy_chain_matches_naive_chain(beta, monkeypatch):
+    # above 90% acceptance almost every step holds a new state; a held-state
+    # budget of five rows adds the node moments every five accepts, so groups
+    # end inside innovation blocks and across their ends, and the burn ends
+    # inside a run of equal states
+    import klgauss.mcmc as mcmc
+
+    dim, steps = 3, 3000
+    args = (gentle_potential, np.full(dim, 0.2), gaussian_sampler(dim))
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 37 * dim)
+    monkeypatch.setattr(mcmc, "_HELD_ELEMENTS", 5 * dim)
+    every_step = naive_chain(*args, ChainConfig(steps, beta, thin=1),
+                             np.random.default_rng(43))
+    accepts = every_step["accepts_cum"]  # after steps 1, 2, ...
+    # the first rejection after 10% of the steps: the burn ends just before it
+    burn = int(np.flatnonzero(np.diff(accepts[steps // 10:]) == 0)[0]) + steps // 10 + 1
+    config = ChainConfig(steps, beta, thin=1, burn_frac=(burn + 0.5) / steps)
+    got = run_chain(*args, config, np.random.default_rng(43))
+    want = naive_chain(*args, config, np.random.default_rng(43))
+    assert got.burn == burn and accepts[burn] == accepts[burn - 1]  # step burn + 1 stays
+    assert got.acceptance_rate == want["acceptance"] > 0.9
+    assert np.array_equal(got.probe_steps, want["probe_steps"])
+    assert np.array_equal(got.probe, want["probe"])
+    assert np.array_equal(got.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(got.final_state, want["final"])
+    assert np.allclose(got.node_mean, want["node_mean"])
+    assert np.allclose(got.node_var, want["node_var"], atol=1e-12)
+
+
+def test_held_states_do_not_pin_innovation_blocks(monkeypatch):
+    # a beta = 1 chain accepts rows of its whole-block window; the states it
+    # holds for the node moments must be copies, or each would keep its block
+    # alive until the next moment update, here 16 accepts later
+    import tracemalloc
+
+    import klgauss.mcmc as mcmc
+
+    dim, rows = 256, 256
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", rows * dim)
+    monkeypatch.setattr(mcmc, "_HELD_ELEMENTS", 16 * dim)
+    block_bytes = rows * dim * 8
+
+    def rare(fields):  # once a state is past 2.5, accepts one proposal in 160
+        return np.where(fields[:, 0] > 2.5, 0.0, 1e3 * (3.0 - fields[:, 0]))
+
+    config = ChainConfig(steps=24 * rows, beta=1.0, thin=rows)
+    tracemalloc.start()
+    try:
+        diag = run_chain(rare, np.zeros(dim), gaussian_sampler(dim), config,
+                         np.random.default_rng(47))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 20 <= diag.acceptance_rate * config.steps < 100
+    assert peak < 3 * block_bytes
 
 
 def test_informed_chain_potential_does_not_drift():

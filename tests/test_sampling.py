@@ -1,17 +1,14 @@
-"""Exact Gaussian samplers and the change-of-measure expectation op."""
+"""Exact Gaussian samplers against dense covariances and the OU recursion."""
 
 import numpy as np
 import pytest
 
 from klgauss import (
     BridgeReference,
-    DegenerateWeightsError,
     NotACovarianceError,
     PeriodicReference,
     dirichlet_precision,
-    indexed_sample,
     require_spd,
-    reweighted_expectation,
     sample_finite_rank,
     sample_ou_bridge,
     sample_tridiagonal_precision,
@@ -146,48 +143,3 @@ def test_tridiagonal_sampler_covariance_and_validation(seed):
     not_spd = np.array([[0.0, -2.0, -2.0], [1.0, 1.0, 1.0]])
     with pytest.raises(NotACovarianceError):
         sample_tridiagonal_precision(not_spd, rng, 4)
-
-
-def test_reweighted_expectation_constant_potential_is_plain_mean():
-    res = reweighted_expectation(
-        lambda z: z[:, 3] ** 2, np.full(16, 2.0), 0.3,
-        np.random.default_rng(12), 5_000,
-    )
-    assert res.ess == pytest.approx(5_000.0, rel=1e-12)
-    assert np.allclose(res.weights, res.weights[0])
-    assert res.frozen_potential == 2.0
-
-
-def test_reweighted_expectation_matches_exact_marginal():
-    n, eps = 16, 0.35
-    ref = BridgeReference(n)
-    b = 1.0 + 0.8 * np.sin(2 * np.pi * ref.t)  # gently varying potential
-    exact = np.linalg.inv(dense_path_precision(n, b, eps))
-    res = reweighted_expectation(
-        lambda z: z[:, n // 2] ** 2, b, eps, np.random.default_rng(9), 400_000,
-    )
-    assert res.value == pytest.approx(exact[n // 2, n // 2], rel=0.03)
-    assert res.ess > 0.5 * 400_000  # mild tilt keeps the weights healthy
-
-
-def test_reweighted_expectation_degenerate_weights():
-    n = 16
-    b = np.ones(n)
-    b[n // 2] = 4000.0  # violent spike: frozen measure is far from the target
-    with pytest.raises(DegenerateWeightsError):
-        reweighted_expectation(
-            lambda z: z[:, 0], b, 0.05, np.random.default_rng(2), 2_000,
-            min_ess_fraction=0.5,
-        )
-
-
-def test_indexed_sample_reproduces_batch_entry():
-    def sampler(rng, size):
-        return rng.standard_normal((size, 3)).cumsum(axis=0)
-
-    got = indexed_sample(sampler, seed=77, index=5)
-    batch = sampler(np.random.default_rng(77), 6)
-    assert np.array_equal(got.values, batch[5])
-    assert got.seed == 77 and got.index == 5
-    with pytest.raises(ValueError):
-        indexed_sample(sampler, 0, -1)
