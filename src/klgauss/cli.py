@@ -205,6 +205,23 @@ _PAPER_SCALE = {
 }
 
 
+# the problem keys each kind reads, with the values used when a key is absent
+_PROBLEM_DEFAULTS = {
+    "scalar": {"eps": 0.01},
+    "darcy": {"n": 128, "noise": 0.1, "scale": 1.0, "obs_points": (0.2, 0.4, 0.6, 0.8),
+              "p_lo": 0.0, "p_hi": 2.0},
+    "diffusion": {"eps": 0.05, "n": 99},
+}
+
+
+def _problem_settings(cfg: dict[str, dict[str, object]]) -> dict[str, object]:
+    """The ``[problem]`` keys the config's kind reads, with defaults filled in."""
+    prob = cfg["problem"]
+    kind = prob["kind"]
+    return {"kind": kind,
+            **{key: prob.get(key, value) for key, value in _PROBLEM_DEFAULTS[kind].items()}}
+
+
 def load_config(source: str) -> dict[str, dict[str, object]]:
     """Parse, type and range-check a config from a file path or preset name.
 
@@ -212,7 +229,7 @@ def load_config(source: str) -> dict[str, dict[str, object]]:
     out-of-range values raise :class:`UsageError`.
     """
     if source in PRESETS:
-        raw = {sec: dict(keys) for sec, keys in PRESETS[source].items()}
+        cfg = _typed_config({sec: dict(keys) for sec, keys in PRESETS[source].items()})
     else:
         path = Path(source)
         if not path.is_file():
@@ -220,28 +237,7 @@ def load_config(source: str) -> dict[str, dict[str, object]]:
                 f"config {source!r} is neither a file nor a preset "
                 f"(presets: {', '.join(sorted(PRESETS))})"
             )
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            parser.read_string(path.read_text())
-        except configparser.Error as exc:
-            raise UsageError(f"cannot parse {source}: {exc}") from exc
-        raw = {sec: dict(parser.items(sec)) for sec in parser.sections()}
-
-    cfg: dict[str, dict[str, object]] = {}
-    for sec, keys in raw.items():
-        if sec not in _KEY_TYPES:
-            raise UsageError(f"unknown config section [{sec}]")
-        cfg[sec] = {}
-        for key, value in keys.items():
-            if key not in _KEY_TYPES[sec]:
-                raise UsageError(f"unknown config key {sec}.{key}")
-            caster = _KEY_TYPES[sec][key]
-            try:
-                cfg[sec][key] = caster(value)
-            except ValueError as exc:
-                raise UsageError(
-                    f"config key {sec}.{key} needs {caster.__name__}, got {value!r}"
-                ) from exc
+        cfg = _parse_config_text(path.read_text(), source)
 
     kind = cfg.get("problem", {}).get("kind")
     if kind not in _FAMILY_FOR_KIND:
@@ -274,6 +270,35 @@ def load_config(source: str) -> dict[str, dict[str, object]]:
     if algo not in ("reference", "informed"):
         raise UsageError(f"chain.algorithm must be 'reference' or 'informed', got {algo!r}")
     return cfg
+
+
+def _typed_config(raw: dict[str, dict[str, str]]) -> dict[str, dict[str, object]]:
+    """Cast raw ``{section: {key: text}}``; unknown sections or keys raise :class:`UsageError`."""
+    cfg: dict[str, dict[str, object]] = {}
+    for sec, keys in raw.items():
+        if sec not in _KEY_TYPES:
+            raise UsageError(f"unknown config section [{sec}]")
+        cfg[sec] = {}
+        for key, value in keys.items():
+            if key not in _KEY_TYPES[sec]:
+                raise UsageError(f"unknown config key {sec}.{key}")
+            caster = _KEY_TYPES[sec][key]
+            try:
+                cfg[sec][key] = caster(value)
+            except ValueError as exc:
+                raise UsageError(
+                    f"config key {sec}.{key} needs {caster.__name__}, got {value!r}"
+                ) from exc
+    return cfg
+
+
+def _parse_config_text(text: str, source: str) -> dict[str, dict[str, object]]:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise UsageError(f"cannot parse {source}: {exc}") from exc
+    return _typed_config({sec: dict(parser.items(sec)) for sec in parser.sections()})
 
 
 def canonical_config_text(cfg: dict[str, dict[str, object]]) -> str:
@@ -315,24 +340,24 @@ class Setup:
     def __init__(self, cfg: dict[str, dict[str, object]], seed: int):
         self.cfg = cfg
         self.seed = seed
-        prob = cfg["problem"]
+        prob = _problem_settings(cfg)
         fit = cfg["fit"]
         self.kind = prob["kind"]
         self.data: np.ndarray | None = None
         self.true_field: np.ndarray | None = None
 
         if self.kind == "scalar":
-            eps = float(prob.get("eps", 0.01))
+            eps = float(prob["eps"])
             self.ref = ScalarReference()
             self.problem = ScalarDoubleWell(eps)
             mean0 = np.array([float(fit.get("init_mean", 0.0))])
             cov0 = ScalarVariance(float(fit.get("init_sigma", 1.0)))
         elif self.kind == "darcy":
-            n = int(prob.get("n", 128))
-            noise = float(prob.get("noise", 0.1))
-            scale = float(prob.get("scale", 1.0))
-            obs = tuple(prob.get("obs_points", (0.2, 0.4, 0.6, 0.8)))
-            pressures = (float(prob.get("p_lo", 0.0)), float(prob.get("p_hi", 2.0)))
+            n = int(prob["n"])
+            noise = float(prob["noise"])
+            scale = float(prob["scale"])
+            obs = tuple(prob["obs_points"])
+            pressures = (float(prob["p_lo"]), float(prob["p_hi"]))
             self.ref = PeriodicReference(n, scale)
             rank = int(fit.get("rank", 2))
             if rank > self.ref.n_modes:
@@ -345,8 +370,8 @@ class Setup:
             mean0 = np.zeros(n)
             cov0 = FiniteRank(np.diag(self.ref.lam[:rank]))
         else:
-            eps = float(prob.get("eps", 0.05))
-            n = int(prob.get("n", 99))
+            eps = float(prob["eps"])
+            n = int(prob["n"])
             t = np.arange(1, n + 1) / (n + 1)
             self.ref = BridgeReference(n, mean0=t)
             self.problem = DiffusionProblem(eps, n)
@@ -619,6 +644,41 @@ def _chain_outputs(out: Path, diag: ChainDiag, max_lag: int) -> list[str]:
     return files
 
 
+def _check_spec_provenance(out: Path, setup: Setup) -> None:
+    """Refuse a spec that a manifest in ``out`` records as fitted on another problem.
+
+    The spec is matched to the ``optimize`` or ``compare`` manifest that
+    lists it with its current SHA-256. That run's problem settings (and,
+    for Darcy, its seed, which draws the synthetic data) must equal this
+    run's; a spec that no manifest lists is used as it is.
+    """
+    digest = hashlib.sha256((out / SPEC_FILENAME).read_bytes()).hexdigest()
+    current = _problem_settings(setup.cfg)
+    mismatches = []
+    for command in ("optimize", "compare"):
+        path = out / f"manifest_{command}.json"
+        try:
+            manifest = json.loads(path.read_text())
+        except (OSError, ValueError):
+            continue
+        if manifest.get("outputs", {}).get(SPEC_FILENAME) != digest:
+            continue
+        fitted = _problem_settings(_parse_config_text(manifest["config"], path.name))
+        diff = [f"problem.{key} = {_fmt(fitted.get(key))} there, {_fmt(value)} here"
+                for key, value in current.items() if fitted.get(key) != value]
+        if setup.kind == "darcy" and manifest.get("seed") != setup.seed:
+            diff.append(f"seed = {manifest.get('seed')} there, {setup.seed} here "
+                        "(the seed draws the synthetic data)")
+        if not diff:
+            return
+        mismatches.append(f"{path.name}: " + "; ".join(diff))
+    if mismatches:
+        raise UsageError(
+            f"{out / SPEC_FILENAME} was fitted on a different problem ("
+            + " | ".join(mismatches) + "); rerun optimize with this config and seed"
+        )
+
+
 def cmd_sample(args, cfg) -> int:
     setup = Setup(cfg, args.seed)
     out = Path(args.out)
@@ -642,6 +702,7 @@ def cmd_sample(args, cfg) -> int:
             raise UsageError(
                 f"{spec_path} has dimension {spec.ref.dim}, config wants {setup.ref.dim}"
             )
+        _check_spec_provenance(out, setup)
         stream, mean, sampler = 3, spec.mean, partial(sample_centered, spec)
         chain = partial(fit_chain, setup.problem, spec)
     else:

@@ -80,11 +80,16 @@ class DarcyProblem:
     The log-permeability ``u`` lives on the periodic grid; the pressure
     solves ``-(exp(u) p')' = 0`` with ``p(0) = p_lo``, ``p(1) = p_hi``,
     which integrates to ``p(x) = p_lo + (p_hi - p_lo) J(x)/J(1)`` with
-    ``J(x)`` the running integral of ``exp(-u)``. ``phi`` is the squared
-    misfit of pressure at the observation points against ``data``, scaled
-    by the noise variance; ``grad_phi`` is its exact discrete adjoint (the
-    derivative of the trapezoid-rule forward map, not a discretized
-    continuum formula), so gradient checks hold to solver precision.
+    ``J(x)`` the running integral of ``exp(-u)``. Under the trapezoid rule
+    each observed ``J(x_o)`` and the total ``J(1)`` are fixed weighted sums
+    of ``exp(-u)``, so ``observe``, ``phi`` and ``grad_phi`` read them with
+    one product against a constant weight array (a row per observation
+    point and one for the total); only ``forward`` builds the running
+    integral at every node. ``phi`` is the squared misfit of pressure at the
+    observation points against ``data``, scaled by the noise variance;
+    ``grad_phi`` is its exact discrete adjoint (the derivative of the
+    trapezoid-rule forward map, not a discretized continuum formula), so
+    gradient checks hold to solver precision.
     """
 
     def __init__(
@@ -114,10 +119,9 @@ class DarcyProblem:
         # interpolation cells and the static running-integral weight rows:
         # J(x_o) = h * (ctilde_o . exp(-u)) for every field u.
         scaled = self.obs_points * self.n
-        self._idx = np.minimum(scaled.astype(int), self.n - 1)
-        self._frac = scaled - self._idx
+        cells = np.minimum(scaled.astype(int), self.n - 1)
         prof = np.zeros((self.obs_points.size, self.n))
-        for o, (i, w) in enumerate(zip(self._idx, self._frac)):
+        for o, (i, w) in enumerate(zip(cells, scaled - cells)):
             prof[o, 0] = 0.5
             prof[o, 1:i] = 1.0
             if i > 0:
@@ -129,46 +133,49 @@ class DarcyProblem:
             else:
                 prof[o, 0] += 0.5 * w  # last cell closes on the periodic node
         self._profiles = prof
+        # rows h * ctilde_o, then h * ones for the total J(1)
+        self._weights = self.h * np.vstack([prof, np.ones(self.n)])
 
     # -- forward map ------------------------------------------------------
 
-    def _flow(self, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Running integral of ``e = exp(-u)`` at the nodes (incl. 1), its total and ``e``."""
+    def _observed(
+        self, fields: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``e = exp(-u)``, the observed ``J(x_o)``, the total ``J(1)`` and the pressures.
+
+        The integrals come from one contraction per row: einsum sums each row
+        in the same order whatever the batch, where a BLAS product would not,
+        so a row's value does not depend on the rows it is evaluated with.
+        """
         e = np.exp(-np.asarray(fields, dtype=float))
-        total = self.h * e.sum(axis=-1)
-        seg = 0.5 * self.h * (e[..., :-1] + e[..., 1:])
-        nodes = np.zeros(e.shape[:-1] + (self.n + 1,))
-        nodes[..., 1:self.n] = np.cumsum(seg, axis=-1)
-        nodes[..., self.n] = total
-        return nodes, total, e
+        j = np.einsum("...j,kj->...k", e, self._weights)
+        j_obs, total = j[..., :-1], j[..., -1]
+        lo, hi = self.pressures
+        return e, j_obs, total, lo + (hi - lo) * j_obs / total[..., None]
 
     def forward(self, fields: np.ndarray) -> np.ndarray:
-        """Pressure at the grid nodes, shape ``fields.shape``."""
-        nodes, total, _ = self._flow(fields)
+        """Pressure at the grid nodes, shape ``fields.shape``, from the running integral."""
+        e = np.exp(-np.asarray(fields, dtype=float))
+        total = self.h * e.sum(axis=-1)
+        nodes = np.zeros(e.shape)
+        nodes[..., 1:] = np.cumsum(0.5 * self.h * (e[..., :-1] + e[..., 1:]), axis=-1)
         lo, hi = self.pressures
-        return lo + (hi - lo) * nodes[..., : self.n] / total[..., None]
+        return lo + (hi - lo) * nodes / total[..., None]
 
     def observe(self, fields: np.ndarray) -> np.ndarray:
-        """Pressure at the observation points (linear in the running integral)."""
-        nodes, total, _ = self._flow(fields)
-        j_obs = ((1.0 - self._frac) * nodes[..., self._idx]
-                 + self._frac * nodes[..., self._idx + 1])
-        lo, hi = self.pressures
-        return lo + (hi - lo) * j_obs / total[..., None]
+        """Pressure at the observation points, from one weight product of ``exp(-u)``."""
+        return self._observed(fields)[3]
 
     # -- potential and gradient -------------------------------------------
 
     def phi(self, fields: np.ndarray) -> np.ndarray:
-        r = self.observe(fields) - self.data
-        return np.sum(r * r, axis=-1) / (2.0 * self.noise**2)
+        r = self._observed(fields)[3] - self.data
+        return (r * r).sum(axis=-1) / (2.0 * self.noise**2)
 
     def grad_phi(self, fields: np.ndarray) -> np.ndarray:
-        nodes, total, e = self._flow(fields)
-        j_obs = ((1.0 - self._frac) * nodes[..., self._idx]
-                 + self._frac * nodes[..., self._idx + 1])
+        e, j_obs, total, pressure = self._observed(fields)
         lo, hi = self.pressures
-        r = (lo + (hi - lo) * j_obs / total[..., None]) - self.data
-        r = r / self.noise**2
+        r = (pressure - self.data) / self.noise**2
         common = np.sum(r * j_obs, axis=-1) / total  # scalar part per field
         spread = r @ self._profiles  # (..., n)
         return e * ((hi - lo) / total[..., None]) * (common[..., None] - spread)

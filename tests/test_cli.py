@@ -324,6 +324,75 @@ def test_sample_outputs_and_zero_potential(tmp_path, capsys):
     assert json.loads((out / "manifest_sample.json").read_text())["command"] == "sample"
 
 
+TINY_DARCY = """\
+[problem]
+kind = darcy
+n = 16
+
+[fit]
+family = finite-rank
+rank = 2
+
+[optimize]
+iterations = 20
+batch_size = 10
+
+[chain]
+steps = 200
+thin = 10
+max_lag = 5
+"""
+
+
+def test_sample_refuses_spec_fitted_at_other_eps(tmp_path, capsys):
+    fit_cfg = write_config(tmp_path, TINY_SCALAR.replace("iterations = 1500", "iterations = 50"))
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", fit_cfg, "--out", str(out)]) == 0
+    spec_bytes = (out / SPEC_FILENAME).read_bytes()
+    capsys.readouterr()
+
+    hot = write_config(tmp_path, TINY_SCALAR.replace("eps = 0.01", "eps = 0.5"), name="hot.ini")
+    assert main(["sample", "--config", hot, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fitted on a different problem" in err
+    assert "problem.eps = 0.01 there, 0.5 here" in err
+    assert "manifest_optimize.json" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest_sample.json").exists()
+
+    assert main(["sample", "--config", fit_cfg, "--out", str(out)]) == 0
+    assert (out / SPEC_FILENAME).read_bytes() == spec_bytes
+
+
+def test_sample_refuses_darcy_spec_fitted_on_other_seed(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TINY_DARCY)
+    out = tmp_path / "run"
+    assert main(["compare", "--config", cfg_path, "--out", str(out), "--seed", "3"]) == 0
+    capsys.readouterr()
+
+    assert main(["sample", "--config", cfg_path, "--out", str(out), "--seed", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "manifest_compare.json: seed = 3 there, 4 here" in err
+    assert "Traceback" not in err
+
+    # a default filled in by hand is the same problem
+    explicit = write_config(tmp_path, TINY_DARCY.replace("n = 16", "n = 16\nnoise = 0.1"),
+                            name="explicit.ini")
+    assert main(["sample", "--config", explicit, "--out", str(out), "--seed", "3"]) == 0
+    assert main(["sample", "--config", cfg_path, "--out", str(out), "--seed", "3"]) == 0
+
+
+def test_sample_uses_spec_no_manifest_lists(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TINY_SCALAR.replace("iterations = 1500", "iterations = 50"))
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", cfg_path, "--out", str(out)]) == 0
+    # a hand-written spec replaces the fit: no manifest lists its hash
+    save_gaussian_spec(out / SPEC_FILENAME, GaussianSpec(
+        np.array([0.0]), ScalarVariance(0.1), ScalarReference()))
+    hot = write_config(tmp_path, TINY_SCALAR.replace("eps = 0.01", "eps = 0.5"), name="hot.ini")
+    assert main(["sample", "--config", hot, "--out", str(out)]) == 0
+
+
 def test_compare_outputs(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "run"

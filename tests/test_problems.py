@@ -122,6 +122,67 @@ def test_darcy_batched_gradient_matches_loop():
         assert np.allclose(g[i], prob.grad_phi(batch[i]))
 
 
+def darcy_branches(n, data):
+    # observation points in the first cell, on a node, inside, in the last cell
+    return DarcyProblem(n, 0.1, data, obs_points=(0.3 / n, 0.5, 0.55, 1 - 0.3 / n))
+
+
+def running_integral_observe(prob, fields):
+    """Oracle: build the trapezoid running integral at every node, then interpolate."""
+    e = np.exp(-np.asarray(fields, dtype=float))
+    total = prob.h * e.sum(axis=-1)
+    seg = 0.5 * prob.h * (e[..., :-1] + e[..., 1:])
+    nodes = np.zeros(e.shape[:-1] + (prob.n + 1,))
+    nodes[..., 1:prob.n] = np.cumsum(seg, axis=-1)
+    nodes[..., prob.n] = total
+    idx = np.minimum((prob.obs_points * prob.n).astype(int), prob.n - 1)
+    frac = prob.obs_points * prob.n - idx
+    j_obs = (1.0 - frac) * nodes[..., idx] + frac * nodes[..., idx + 1]
+    lo, hi = prob.pressures
+    return lo + (hi - lo) * j_obs / total[..., None]
+
+
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_darcy_matches_running_integral_oracle(n, scale):
+    rng = np.random.default_rng(n + int(10 * scale))
+    prob = darcy_branches(n, np.array([0.05, 1.0, 1.1, 1.95]) + 0.1 * rng.standard_normal(4))
+    u = scale * rng.standard_normal((20, n))
+    want = running_integral_observe(prob, u)
+    assert np.abs(prob.observe(u) - want).max() <= 1e-13 * np.abs(want).max()
+    r = want - prob.data
+    want_phi = np.sum(r * r, axis=-1) / (2 * prob.noise**2)
+    assert np.abs(prob.phi(u) - want_phi).max() <= 1e-13 * np.abs(want_phi).max()
+
+    g = prob.grad_phi(u[0])
+    eta = 1e-6
+    for seed in range(3):
+        s = np.random.default_rng(seed).standard_normal(n)
+        fd = (prob.phi(u[0] + eta * s) - prob.phi(u[0] - eta * s)) / (2 * eta)
+        assert g_inner(prob.h, g, s) == pytest.approx(fd, rel=1e-4)
+
+
+@pytest.mark.parametrize("kind", ["darcy", "diffusion", "scalar"])
+def test_phi_rows_do_not_depend_on_batch(kind):
+    # a chain scores windows of 1 to many rows; a row's potential must carry
+    # the same bits whichever window it falls in
+    rng = np.random.default_rng(21)
+    if kind == "darcy":
+        cases = [(darcy_branches(n, rng.standard_normal(4)), n) for n in (16, 128)]
+    elif kind == "diffusion":
+        cases = [(DiffusionProblem(0.05, 99), 99)]
+    else:
+        cases = [(ScalarDoubleWell(0.01), 1)]
+    for prob, dim in cases:
+        u = rng.standard_normal((100, dim))
+        single = [prob.phi(row) for row in u]
+        for size in (1, 2, 7, 100):
+            for start in range(0, 100 - size + 1, size):
+                batch = prob.phi(u[start:start + size])
+                for i, value in enumerate(batch):
+                    assert np.array_equal(value, single[start + i]), (dim, size, start + i)
+
+
 def test_synthesize_darcy_data():
     n = 128
     u, y = synthesize_darcy_data(n, 0.1, np.random.default_rng(0))
