@@ -27,8 +27,10 @@ preset name. Every file an invocation writes is listed with its SHA-256 in
 ``manifest_<command>.json`` together with the hash of the canonicalized
 configuration; rerunning a subcommand with ``--check`` verifies the files
 in the output directory against that manifest instead of recomputing.
-Unknown config keys are usage errors (exit 2); numerical failures exit 3
-and leave an error manifest behind.
+What each ``problem.kind`` reads, with defaults and ranges, is declared once
+in ``KINDS``. Unknown keys, keys that the config's kind or family does not
+read and out-of-range values are usage errors (exit 2); numerical failures
+exit 3 and leave an error manifest behind.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import time
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,135 +104,157 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in str(text).split(","))
 
 
-_KEY_TYPES = {
-    "problem": {
-        "kind": str, "eps": float, "n": int, "noise": float, "scale": float,
-        "obs_points": _float_list, "p_lo": float, "p_hi": float,
-    },
-    "fit": {
-        "family": str,
-        "rank": int,
-        "init_sigma": float,
-        "init_mean": float,
-        "init_strength": float,
-        "init_potential": float,
-        "smoothing": float,
-    },
+# a key's range: a test its value must pass, and what the test asks for
+_POSITIVE = (lambda v: v > 0, "be positive")
+
+
+def _at_least(lo: int) -> tuple:
+    return (lambda v: v >= lo, f"be at least {lo}")
+
+
+def _build_scalar(prob, fit, seed):
+    return (ScalarReference(), ScalarDoubleWell(prob["eps"]), None,
+            np.array([fit["init_mean"]]), ScalarVariance(fit["init_sigma"]))
+
+
+def _build_darcy(prob, fit, seed):
+    n, noise, obs = prob["n"], prob["noise"], prob["obs_points"]
+    pressures = (prob["p_lo"], prob["p_hi"])
+    ref = PeriodicReference(n, prob["scale"])
+    if fit["rank"] > ref.n_modes:
+        raise UsageError(f"fit.rank {fit['rank']} exceeds the {ref.n_modes} modes "
+                         f"retained on a grid of {n} points")
+    data_rng = np.random.default_rng([seed, _DATA_STREAM])
+    true_field, data = synthesize_darcy_data(n, noise, data_rng, obs, pressures)
+    return (ref, DarcyProblem(n, noise, data, obs, pressures), (true_field, data),
+            np.zeros(n), FiniteRank(np.diag(ref.lam[:fit["rank"]])))
+
+
+def _build_diffusion(prob, fit, seed):
+    eps, n = prob["eps"], prob["n"]
+    t = np.arange(1, n + 1) / (n + 1)
+    if fit["family"] == "constant-potential":
+        cov0 = ConstantPotential(fit["init_strength"], eps)
+    else:
+        cov0 = VariablePotential(np.full(n, fit["init_potential"]), eps,
+                                 smoothing=fit["smoothing"])
+    return BridgeReference(n, mean0=t), DiffusionProblem(eps, n), None, t.copy(), cov0
+
+
+class _Kind(NamedTuple):
+    """What one ``problem.kind`` means: its keys, run sizes and how it is built.
+
+    Keys map to ``(type, default, range)``; a ``None`` default keeps the key
+    out of the presets, a ``None`` range takes any value. ``build(problem,
+    fit, seed)`` returns the reference, the problem, the Darcy ``(true_field,
+    data)`` or ``None``, and the starting mean and covariance.
+    """
+
+    problem: dict[str, tuple]
+    fits: dict[str, dict[str, tuple]]  # fit.family -> its [fit] keys
+    paper_scale: tuple[int, int]  # (iterations, steps) for --paper-scale
+    seeded_data: bool  # the seed draws the synthetic data
+    build: Callable
+
+
+KINDS = {
+    "scalar": _Kind(
+        problem={"eps": (float, 0.01, _POSITIVE)},
+        fits={"scalar-variance": {"init_sigma": (float, 1.0, _POSITIVE),
+                                  "init_mean": (float, 0.0, None)}},
+        paper_scale=(1_000_000, 1_000_000), seeded_data=False, build=_build_scalar),
+    "darcy": _Kind(
+        problem={"n": (int, 128, _at_least(4)), "noise": (float, 0.1, _POSITIVE),
+                 "scale": (float, 1.0, _POSITIVE),
+                 "obs_points": (_float_list, (0.2, 0.4, 0.6, 0.8),
+                                (lambda v: all(0 < x < 1 for x in v), "lie in (0, 1)")),
+                 "p_lo": (float, 0.0, None), "p_hi": (float, 2.0, None)},
+        fits={"finite-rank": {"rank": (int, 2, _at_least(1))}},
+        paper_scale=(100_000, 1_000_000), seeded_data=True, build=_build_darcy),
+    "diffusion": _Kind(
+        problem={"eps": (float, 0.05, _POSITIVE), "n": (int, 99, _at_least(2))},
+        fits={"constant-potential": {"init_strength": (float, 1.0, _POSITIVE)},
+              "variable-potential": {"init_potential": (float, 2.0, _POSITIVE),
+                                     "smoothing": (float, 1e-2, _POSITIVE)}},
+        paper_scale=(100_000, 1_000_000), seeded_data=False, build=_build_diffusion),
+}
+
+# the [optimize] and [chain] keys every kind reads
+_SHARED = {
     "optimize": {
-        "iterations": int,
-        "batch_size": int,
-        "a0": float,
-        "decay": float,
-        "mean_lo": float,
-        "mean_hi": float,
-        "cov_lo": float,
-        "cov_hi": float,
-        "snapshot_every": int,
+        "iterations": (int, 10_000, _at_least(1)), "batch_size": (int, 100, _at_least(2)),
+        "a0": (float, 0.1, _POSITIVE),
+        "decay": (float, 0.6, (lambda v: 0.5 < v <= 1, "lie in (0.5, 1]")),
+        "mean_lo": (float, -5.0, None), "mean_hi": (float, 5.0, None),
+        "cov_lo": (float, 1e-4, _POSITIVE), "cov_hi": (float, 1.0, _POSITIVE),
+        "snapshot_every": (int, 100, _at_least(1)),
     },
     "chain": {
-        "steps": int,
-        "beta": float,
-        "thin": int,
-        "burn_frac": float,
-        "probe_index": int,
-        "algorithm": str,
-        "max_lag": int,
+        "steps": (int, 100_000, _at_least(1)),
+        "beta": (float, 1.0, (lambda v: 0 < v <= 1, "lie in (0, 1]")),
+        "thin": (int, 100, _at_least(1)),
+        "burn_frac": (float, 0.1, (lambda v: 0 <= v < 1, "lie in [0, 1)")),
+        "probe_index": (int, None, _at_least(0)),
+        "algorithm": (str, "informed",
+                      (lambda v: v in ("reference", "informed"), "be 'reference' or 'informed'")),
+        "max_lag": (int, 100, _at_least(1)),
     },
 }
 
-_FAMILY_FOR_KIND = {
-    "scalar": ("scalar-variance",),
-    "darcy": ("finite-rank",),
-    "diffusion": ("constant-potential", "variable-potential"),
-}
 
-PRESETS: dict[str, dict[str, dict[str, str]]] = {
-    "scalar": {
-        "problem": {"kind": "scalar", "eps": "0.01"},
-        "fit": {"family": "scalar-variance", "init_sigma": "1.0", "init_mean": "0.25"},
-        "optimize": {
-            "iterations": "10000", "batch_size": "100", "a0": "0.1", "decay": "0.6",
-            "mean_lo": "-0.5", "mean_hi": "0.5", "cov_lo": "0.001", "cov_hi": "1.0",
-            "snapshot_every": "100",
-        },
-        "chain": {
-            "steps": "100000", "beta": "1.0", "thin": "100", "burn_frac": "0.1",
-            "algorithm": "informed", "max_lag": "100",
-        },
-    },
-    "darcy-noise0.1": {
-        "problem": {"kind": "darcy", "n": "128", "noise": "0.1", "scale": "1.0",
-                    "obs_points": "0.2,0.4,0.6,0.8", "p_lo": "0.0", "p_hi": "2.0"},
-        "fit": {"family": "finite-rank", "rank": "2"},
-        "optimize": {
-            "iterations": "10000", "batch_size": "100", "a0": "0.1", "decay": "0.6",
-            "mean_lo": "-5.0", "mean_hi": "5.0", "cov_lo": "0.0001", "cov_hi": "1.0",
-            "snapshot_every": "100",
-        },
-        "chain": {
-            "steps": "100000", "beta": "0.6", "thin": "100", "burn_frac": "0.1",
-            "algorithm": "informed", "max_lag": "100",
-        },
-    },
-    "diffusion-constant": {
-        "problem": {"kind": "diffusion", "eps": "0.05", "n": "99"},
-        "fit": {"family": "constant-potential", "init_strength": "1.0"},
-        "optimize": {
-            "iterations": "10000", "batch_size": "100", "a0": "2.0", "decay": "0.6",
-            "mean_lo": "0.0", "mean_hi": "1.5", "cov_lo": "0.001", "cov_hi": "10.0",
-            "snapshot_every": "100",
-        },
-        "chain": {
-            "steps": "100000", "beta": "0.6", "thin": "100", "burn_frac": "0.1",
-            "algorithm": "informed", "max_lag": "100",
-        },
-    },
-}
-PRESETS["darcy-noise0.01"] = {
-    sec: dict(keys) for sec, keys in PRESETS["darcy-noise0.1"].items()
-}
-PRESETS["darcy-noise0.01"]["problem"] = dict(PRESETS["darcy-noise0.1"]["problem"])
-PRESETS["darcy-noise0.01"]["problem"]["noise"] = "0.01"
-PRESETS["diffusion-variable"] = {
-    sec: dict(keys) for sec, keys in PRESETS["diffusion-constant"].items()
-}
-PRESETS["diffusion-variable"]["fit"] = {
-    "family": "variable-potential", "init_potential": "2.0", "smoothing": "0.01",
-}
-
-# long-run sizes used for the published figures, switched in by --paper-scale
-_PAPER_SCALE = {
-    "scalar": {"iterations": 1_000_000, "steps": 1_000_000},
-    "darcy": {"iterations": 100_000, "steps": 1_000_000},
-    "diffusion": {"iterations": 100_000, "steps": 1_000_000},
-}
+def _declared(kind: str, family: str) -> dict[str, dict[str, tuple]]:
+    """The keys a config of this kind and family reads, by section."""
+    return {"problem": {"kind": (str, None, None), **KINDS[kind].problem},
+            "fit": {"family": (str, None, None), **KINDS[kind].fits[family]},
+            **_SHARED}
 
 
-# the problem keys each kind reads, with the values used when a key is absent
-_PROBLEM_DEFAULTS = {
-    "scalar": {"eps": 0.01},
-    "darcy": {"n": 128, "noise": 0.1, "scale": 1.0, "obs_points": (0.2, 0.4, 0.6, 0.8),
-              "p_lo": 0.0, "p_hi": 2.0},
-    "diffusion": {"eps": 0.05, "n": 99},
+# the type of every key that some kind and family reads
+_TYPES = {sec: {key: spec[0] for kind in KINDS for family in KINDS[kind].fits
+                for key, spec in _declared(kind, family)[sec].items()}
+          for sec in ("problem", "fit", *_SHARED)}
+
+
+def _filled(cfg: dict[str, dict[str, object]]) -> dict[str, dict[str, object]]:
+    """Every key the config's kind and family read, with the table's defaults filled in."""
+    declared = _declared(cfg["problem"]["kind"], cfg["fit"]["family"])
+    return {sec: {key: cfg.get(sec, {}).get(key, default) for key, (_, default, _) in keys.items()}
+            for sec, keys in declared.items()}
+
+
+def _preset(kind: str, family: str, **overrides: dict[str, object]):
+    """The kind's and family's defaults, then ``overrides`` by section."""
+    cfg = _filled({"problem": {"kind": kind}, "fit": {"family": family}})
+    for sec, keys in overrides.items():
+        cfg[sec].update(keys)
+    return {sec: {key: v for key, v in keys.items() if v is not None}
+            for sec, keys in cfg.items()}
+
+
+_DIFFUSION_RM = {"a0": 2.0, "mean_lo": 0.0, "mean_hi": 1.5, "cov_lo": 1e-3, "cov_hi": 10.0}
+
+PRESETS: dict[str, dict[str, dict[str, object]]] = {
+    "scalar": _preset("scalar", "scalar-variance", fit={"init_mean": 0.25},
+                      optimize={"mean_lo": -0.5, "mean_hi": 0.5, "cov_lo": 1e-3}),
+    "darcy-noise0.1": _preset("darcy", "finite-rank", chain={"beta": 0.6}),
+    "darcy-noise0.01": _preset("darcy", "finite-rank", problem={"noise": 0.01},
+                               chain={"beta": 0.6}),
+    "diffusion-constant": _preset("diffusion", "constant-potential", optimize=_DIFFUSION_RM,
+                                  chain={"beta": 0.6}),
+    "diffusion-variable": _preset("diffusion", "variable-potential", optimize=_DIFFUSION_RM,
+                                  chain={"beta": 0.6}),
 }
-
-
-def _problem_settings(cfg: dict[str, dict[str, object]]) -> dict[str, object]:
-    """The ``[problem]`` keys the config's kind reads, with defaults filled in."""
-    prob = cfg["problem"]
-    kind = prob["kind"]
-    return {"kind": kind,
-            **{key: prob.get(key, value) for key, value in _PROBLEM_DEFAULTS[kind].items()}}
 
 
 def load_config(source: str) -> dict[str, dict[str, object]]:
     """Parse, type and range-check a config from a file path or preset name.
 
-    Returns ``{section: {key: typed value}}``. Unknown sections or keys and
-    out-of-range values raise :class:`UsageError`.
+    Returns ``{section: {key: typed value}}``. Unknown sections, keys that
+    the config's kind or family does not read, and out-of-range values
+    raise :class:`UsageError`.
     """
     if source in PRESETS:
-        cfg = _typed_config({sec: dict(keys) for sec, keys in PRESETS[source].items()})
+        cfg = {sec: dict(keys) for sec, keys in PRESETS[source].items()}
     else:
         path = Path(source)
         if not path.is_file():
@@ -240,49 +265,46 @@ def load_config(source: str) -> dict[str, dict[str, object]]:
         cfg = _parse_config_text(path.read_text(), source)
 
     kind = cfg.get("problem", {}).get("kind")
-    if kind not in _FAMILY_FOR_KIND:
-        raise UsageError(
-            f"problem.kind must be one of {sorted(_FAMILY_FOR_KIND)}, got {kind!r}"
-        )
+    if kind not in KINDS:
+        raise UsageError(f"problem.kind must be one of {sorted(KINDS)}, got {kind!r}")
     family = cfg.get("fit", {}).get("family")
-    if family not in _FAMILY_FOR_KIND[kind]:
+    if family not in KINDS[kind].fits:
         raise UsageError(
             f"fit.family {family!r} does not go with problem.kind {kind!r} "
-            f"(expected one of {_FAMILY_FOR_KIND[kind]})"
+            f"(expected one of {tuple(KINDS[kind].fits)})"
         )
-    if cfg["problem"].get("eps", 1.0) <= 0:
-        raise UsageError("problem.eps must be positive")
-    if cfg["problem"].get("noise", 1.0) <= 0:
-        raise UsageError("problem.noise must be positive")
-    if cfg["fit"].get("rank", 1) < 1:
-        raise UsageError("fit.rank must be at least 1")
-    if cfg["fit"].get("smoothing", 1.0) <= 0:
-        raise UsageError("fit.smoothing must be positive")
-    min_n = {"darcy": 4, "diffusion": 2}.get(kind, 0)  # smallest grids the references take
-    if cfg["problem"].get("n", min_n) < min_n:
-        raise UsageError(f"problem.n must be at least {min_n} for {kind}")
-    if cfg.get("chain", {}).get("steps", 1) < 1:
-        raise UsageError("chain.steps must be at least 1")
-    beta = cfg.get("chain", {}).get("beta", 1.0)
-    if not 0.0 < beta <= 1.0:
-        raise UsageError(f"chain.beta must lie in (0, 1], got {beta}")
-    algo = cfg.get("chain", {}).get("algorithm", "informed")
-    if algo not in ("reference", "informed"):
-        raise UsageError(f"chain.algorithm must be 'reference' or 'informed', got {algo!r}")
+    declared = _declared(kind, family)
+    for sec, keys in cfg.items():
+        for key, value in keys.items():
+            if key not in declared[sec]:
+                raise UsageError(f"config key {sec}.{key} is not read by problem.kind = "
+                                 f"{kind} with fit.family = {family}")
+            test, need = declared[sec][key][2] or (None, None)
+            if test is not None and not test(value):
+                raise UsageError(f"{sec}.{key} must {need}, got {value!r}")
     return cfg
 
 
-def _typed_config(raw: dict[str, dict[str, str]]) -> dict[str, dict[str, object]]:
-    """Cast raw ``{section: {key: text}}``; unknown sections or keys raise :class:`UsageError`."""
+def _parse_config_text(text: str, source: str) -> dict[str, dict[str, object]]:
+    """Parse and type INI text; unknown sections or keys raise :class:`UsageError`.
+
+    Any key that some kind or family reads is typed, so the configs that
+    older manifests record parse too.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise UsageError(f"cannot parse {source}: {exc}") from exc
     cfg: dict[str, dict[str, object]] = {}
-    for sec, keys in raw.items():
-        if sec not in _KEY_TYPES:
+    for sec in parser.sections():
+        if sec not in _TYPES:
             raise UsageError(f"unknown config section [{sec}]")
         cfg[sec] = {}
-        for key, value in keys.items():
-            if key not in _KEY_TYPES[sec]:
+        for key, value in parser.items(sec):
+            if key not in _TYPES[sec]:
                 raise UsageError(f"unknown config key {sec}.{key}")
-            caster = _KEY_TYPES[sec][key]
+            caster = _TYPES[sec][key]
             try:
                 cfg[sec][key] = caster(value)
             except ValueError as exc:
@@ -290,15 +312,6 @@ def _typed_config(raw: dict[str, dict[str, str]]) -> dict[str, dict[str, object]
                     f"config key {sec}.{key} needs {caster.__name__}, got {value!r}"
                 ) from exc
     return cfg
-
-
-def _parse_config_text(text: str, source: str) -> dict[str, dict[str, object]]:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise UsageError(f"cannot parse {source}: {exc}") from exc
-    return _typed_config({sec: dict(parser.items(sec)) for sec in parser.sections()})
 
 
 def canonical_config_text(cfg: dict[str, dict[str, object]]) -> str:
@@ -325,9 +338,9 @@ def config_hash(cfg: dict[str, dict[str, object]]) -> str:
 
 
 def apply_paper_scale(cfg: dict[str, dict[str, object]]) -> None:
-    sizes = _PAPER_SCALE[cfg["problem"]["kind"]]
-    cfg.setdefault("optimize", {})["iterations"] = sizes["iterations"]
-    cfg.setdefault("chain", {})["steps"] = sizes["steps"]
+    iterations, steps = KINDS[cfg["problem"]["kind"]].paper_scale
+    cfg.setdefault("optimize", {})["iterations"] = iterations
+    cfg.setdefault("chain", {})["steps"] = steps
 
 
 # ---------------------------------------------------------------------------
@@ -335,85 +348,41 @@ def apply_paper_scale(cfg: dict[str, dict[str, object]]) -> None:
 
 
 class Setup:
-    """Everything a command needs, built once from the validated config."""
+    """Everything a command needs, built once from the validated config.
+
+    Conditions that tie keys together are checked here, before any fit runs.
+    """
 
     def __init__(self, cfg: dict[str, dict[str, object]], seed: int):
         self.cfg = cfg
         self.seed = seed
-        prob = _problem_settings(cfg)
-        fit = cfg["fit"]
-        self.kind = prob["kind"]
-        self.data: np.ndarray | None = None
-        self.true_field: np.ndarray | None = None
-
-        if self.kind == "scalar":
-            eps = float(prob["eps"])
-            self.ref = ScalarReference()
-            self.problem = ScalarDoubleWell(eps)
-            mean0 = np.array([float(fit.get("init_mean", 0.0))])
-            cov0 = ScalarVariance(float(fit.get("init_sigma", 1.0)))
-        elif self.kind == "darcy":
-            n = int(prob["n"])
-            noise = float(prob["noise"])
-            scale = float(prob["scale"])
-            obs = tuple(prob["obs_points"])
-            pressures = (float(prob["p_lo"]), float(prob["p_hi"]))
-            self.ref = PeriodicReference(n, scale)
-            rank = int(fit.get("rank", 2))
-            if rank > self.ref.n_modes:
-                raise UsageError(f"fit.rank {rank} exceeds the {self.ref.n_modes} modes "
-                                 f"retained on a grid of {n} points")
-            data_rng = np.random.default_rng([seed, _DATA_STREAM])
-            self.true_field, self.data = synthesize_darcy_data(
-                n, noise, data_rng, obs, pressures)
-            self.problem = DarcyProblem(n, noise, self.data, obs, pressures)
-            mean0 = np.zeros(n)
-            cov0 = FiniteRank(np.diag(self.ref.lam[:rank]))
-        else:
-            eps = float(prob["eps"])
-            n = int(prob["n"])
-            t = np.arange(1, n + 1) / (n + 1)
-            self.ref = BridgeReference(n, mean0=t)
-            self.problem = DiffusionProblem(eps, n)
-            mean0 = t.copy()
-            if fit["family"] == "constant-potential":
-                cov0 = ConstantPotential(float(fit.get("init_strength", 1.0)), eps)
-            else:
-                cov0 = VariablePotential(
-                    np.full(n, float(fit.get("init_potential", 2.0))),
-                    eps,
-                    smoothing=float(fit.get("smoothing", 1e-2)),
-                )
+        self.kind = cfg["problem"]["kind"]
+        filled = _filled(cfg)
+        opt, ch = filled["optimize"], filled["chain"]
+        for name in ("mean", "cov"):
+            lo, hi = opt[f"{name}_lo"], opt[f"{name}_hi"]
+            if not lo < hi:
+                raise UsageError(f"optimize.{name}_lo must be below optimize.{name}_hi, "
+                                 f"got {lo!r} and {hi!r}")
+        self.ref, self.problem, darcy_data, mean0, cov0 = KINDS[self.kind].build(
+            filled["problem"], filled["fit"], seed)
+        self.true_field, self.data = darcy_data or (None, None)
         self.spec0 = GaussianSpec(mean=mean0, cov=cov0, ref=self.ref)
+        probe = self.ref.dim // 2 if ch["probe_index"] is None else ch["probe_index"]
+        if probe >= self.ref.dim:
+            raise UsageError(f"chain.probe_index must be below the dimension {self.ref.dim}, "
+                             f"got {probe}")
 
-        opt = cfg.get("optimize", {})
         self.rm_config = RMConfig(
-            iterations=int(opt.get("iterations", 10_000)),
-            batch_size=int(opt.get("batch_size", 100)),
-            schedule=StepSchedule(float(opt.get("a0", 0.1)), float(opt.get("decay", 0.6))),
-            mean_bounds=(float(opt.get("mean_lo", -5.0)), float(opt.get("mean_hi", 5.0))),
-            cov_bounds=(float(opt.get("cov_lo", 1e-4)), float(opt.get("cov_hi", 1.0))),
-            snapshot_every=int(opt.get("snapshot_every", 100)),
+            iterations=opt["iterations"],
+            batch_size=opt["batch_size"],
+            schedule=StepSchedule(opt["a0"], opt["decay"]),
+            mean_bounds=(opt["mean_lo"], opt["mean_hi"]),
+            cov_bounds=(opt["cov_lo"], opt["cov_hi"]),
+            snapshot_every=opt["snapshot_every"],
         )
-        ch = cfg.get("chain", {})
-        self.chain_config = ChainConfig(
-            steps=int(ch.get("steps", 100_000)),
-            beta=float(ch.get("beta", 1.0)),
-            thin=int(ch.get("thin", 100)),
-            probe_index=ch.get("probe_index"),
-            burn_frac=float(ch.get("burn_frac", 0.1)),
-            max_lag=int(ch.get("max_lag", 100)),
-        )
-        self.algorithm = str(ch.get("algorithm", "informed"))
-
-    def probe_index(self) -> int:
-        if self.chain_config.probe_index is not None:
-            return self.chain_config.probe_index
-        return self.ref.dim // 2
-
-
-def _zero_potential(fields: np.ndarray) -> np.ndarray:
-    return np.zeros(np.asarray(fields).shape[0])
+        self.algorithm = ch.pop("algorithm")
+        self.chain_config = ChainConfig(**{**ch, "probe_index": probe})
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +541,6 @@ def _write_trace_files(out: Path, trace) -> list[str]:
     return files
 
 
-def _write_darcy_data(out: Path, setup: Setup) -> list[str]:
-    clean = setup.problem.observe(setup.true_field)
-    _write_csv(out / "data.csv", ["index", "x", "y", "clean"],
-               [(i, x, y, c) for i, (x, y, c) in
-                enumerate(zip(setup.problem.obs_points, setup.data, clean))])
-    return ["data.csv"]
-
-
 def _run_optimize_stage(setup: Setup, out: Path) -> tuple[GaussianSpec, list[str]]:
     """Fit and write the optimizer outputs; raises with partial trace attached."""
     rng = np.random.default_rng([setup.seed, 1])
@@ -590,8 +551,12 @@ def _run_optimize_stage(setup: Setup, out: Path) -> tuple[GaussianSpec, list[str
     files = _write_trace_files(out, trace)
     save_gaussian_spec(out / SPEC_FILENAME, final)
     files.append(SPEC_FILENAME)
-    if setup.kind == "darcy":
-        files += _write_darcy_data(out, setup)
+    if setup.data is not None:  # the synthetic observations of an inverse problem
+        clean = setup.problem.observe(setup.true_field)
+        _write_csv(out / "data.csv", ["index", "x", "y", "clean"],
+                   ((i, *row) for i, row in
+                    enumerate(zip(setup.problem.obs_points, setup.data, clean))))
+        files.append("data.csv")
 
     print(f"optimize: {setup.rm_config.iterations} iterations in {elapsed:.1f} s")
     print(f"optimize: divergence {trace.dkl[0]:.4f} -> {trace.dkl[-1]:.4f} (up to log Z)")
@@ -653,7 +618,7 @@ def _check_spec_provenance(out: Path, setup: Setup) -> None:
     run's; a spec that no manifest lists is used as it is.
     """
     digest = hashlib.sha256((out / SPEC_FILENAME).read_bytes()).hexdigest()
-    current = _problem_settings(setup.cfg)
+    current = _filled(setup.cfg)["problem"]
     mismatches = []
     for command in ("optimize", "compare"):
         path = out / f"manifest_{command}.json"
@@ -663,10 +628,10 @@ def _check_spec_provenance(out: Path, setup: Setup) -> None:
             continue
         if manifest.get("outputs", {}).get(SPEC_FILENAME) != digest:
             continue
-        fitted = _problem_settings(_parse_config_text(manifest["config"], path.name))
+        fitted = _filled(_parse_config_text(manifest["config"], path.name))["problem"]
         diff = [f"problem.{key} = {_fmt(fitted.get(key))} there, {_fmt(value)} here"
                 for key, value in current.items() if fitted.get(key) != value]
-        if setup.kind == "darcy" and manifest.get("seed") != setup.seed:
+        if KINDS[setup.kind].seeded_data and manifest.get("seed") != setup.seed:
             diff.append(f"seed = {manifest.get('seed')} there, {setup.seed} here "
                         "(the seed draws the synthetic data)")
         if not diff:
@@ -709,7 +674,7 @@ def cmd_sample(args, cfg) -> int:
         stream, mean, sampler = 2, setup.ref.mean0, setup.ref.sample_centered
         chain = partial(reference_chain, setup.problem, setup.ref)
     if args.zero_potential:
-        chain = partial(run_chain, _zero_potential, mean, sampler)
+        chain = partial(run_chain, lambda fields: np.zeros(len(fields)), mean, sampler)
     rng = np.random.default_rng([args.seed, stream])
     t0 = time.perf_counter()
     diag = chain(setup.chain_config, rng)
@@ -730,7 +695,7 @@ def cmd_compare(args, cfg) -> int:
     spec, files = _run_optimize_stage(setup, out)
 
     max_lag = setup.chain_config.max_lag
-    pi = setup.probe_index()
+    pi = setup.chain_config.probe_index
     rows = []
     summary = []
     for name, chain, stream in (
@@ -945,13 +910,11 @@ def main(argv: list[str] | None = None) -> int:
         sub.set_defaults(func=fn)
 
     args = parser.parse_args(argv)
+    if args.command == "check" or (args.command is None and args.check):
+        return cmd_check(args)
     if args.command is None:
-        if args.check:
-            return cmd_check(args)
         parser.print_help(sys.stderr)
         return 2
-    if args.command == "check":
-        return cmd_check(args)
     if args.check:
         return _verify_manifest(Path(args.out), args.command)
 

@@ -26,9 +26,12 @@ from klgauss import (
 )
 from klgauss.gaussians import FAMILIES
 from klgauss.cli import (
+    KINDS,
     PRESETS,
     SPEC_FILENAME,
+    Setup,
     UsageError,
+    _declared,
     apply_paper_scale,
     canonical_config_text,
     config_hash,
@@ -81,6 +84,19 @@ def test_presets_all_load():
         assert {"problem", "fit"} <= set(cfg)
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("scalar", "1a30270cf18d4ffb16e6c31e24f85c0afa452606"),
+    ("darcy-noise0.1", "a6993e9964d6362edb08b208eb310165ac0760c9"),
+    ("darcy-noise0.01", "f4cc525b0a6ff39a9dd1e3f2ee25d91e0a500092"),
+    ("diffusion-constant", "a7dbf291c4d473bb7c83886ae97344e94ba2c899"),
+    ("diffusion-variable", "09fca18447d7d8177c14f9457a4655184a122f16"),
+])
+def test_preset_config_hash_is_pinned(name, digest):
+    # the presets are derived from the kind table; these hashes are those of
+    # the hand-written presets they replaced
+    assert config_hash(load_config(name)) == digest
+
+
 def test_load_config_rejections(tmp_path):
     with pytest.raises(UsageError, match="neither a file nor a preset"):
         load_config("no-such-preset")
@@ -107,6 +123,13 @@ def test_load_config_rejections(tmp_path):
             tmp_path,
             "[problem]\nkind = scalar\n[fit]\nfamily = scalar-variance\n"
             "[chain]\nalgorithm = psychic\n"))
+    # keys that another kind or family reads are not silently ignored
+    with pytest.raises(UsageError, match=r"problem\.n is not read by problem\.kind = scalar"):
+        load_config(write_config(
+            tmp_path, "[problem]\nkind = scalar\nn = 4095\n[fit]\nfamily = scalar-variance\n"))
+    with pytest.raises(UsageError, match=r"fit\.rank is not read .* fit\.family = scalar-variance"):
+        load_config(write_config(
+            tmp_path, "[problem]\nkind = scalar\n[fit]\nfamily = scalar-variance\nrank = 2\n"))
 
 
 def test_config_canonical_round_trip(tmp_path):
@@ -136,6 +159,27 @@ def test_usage_errors_exit_2(tmp_path):
      "problem.n must be at least 2"),
     ("[problem]\nkind = darcy\nn = 8\n[fit]\nfamily = finite-rank\nrank = 10\n",
      "fit.rank 10 exceeds the 6 modes"),
+    (TINY_SCALAR.replace("thin = 20", "thin = 0"), "chain.thin must be at least 1"),
+    (TINY_SCALAR.replace("max_lag = 30", "max_lag = 0"), "chain.max_lag must be at least 1"),
+    (TINY_SCALAR + "burn_frac = 1.0\n", "chain.burn_frac must lie in [0, 1)"),
+    (TINY_SCALAR.replace("batch_size = 50", "batch_size = 1"),
+     "optimize.batch_size must be at least 2"),
+    (TINY_SCALAR.replace("batch_size = 50", "batch_size = 50\ndecay = 0.3"),
+     "optimize.decay must lie in (0.5, 1]"),
+    (TINY_SCALAR.replace("batch_size = 50", "batch_size = 50\na0 = 0"),
+     "optimize.a0 must be positive"),
+    (TINY_SCALAR.replace("iterations = 1500", "iterations = 0"),
+     "optimize.iterations must be at least 1"),
+    (TINY_SCALAR.replace("batch_size = 50", "batch_size = 50\nsnapshot_every = 0"),
+     "optimize.snapshot_every must be at least 1"),
+    ("[problem]\nkind = darcy\nn = 16\nobs_points = 0.2,1.5\n[fit]\nfamily = finite-rank\n",
+     "problem.obs_points must lie in (0, 1)"),
+    (TINY_SCALAR + "probe_index = 7\n", "chain.probe_index must be below the dimension 1"),
+    (TINY_SCALAR.replace("init_sigma = 1.0", "init_sigma = 0"), "fit.init_sigma must be positive"),
+    (TINY_SCALAR.replace("mean_lo = -0.5", "mean_lo = 0.5"),
+     "optimize.mean_lo must be below optimize.mean_hi"),
+    (TINY_SCALAR.replace("cov_lo = 0.001", "cov_lo = 2.0"),
+     "optimize.cov_lo must be below optimize.cov_hi"),
 ])
 def test_invalid_config_exits_2(tmp_path, capsys, text, message):
     assert main(["compare", "--config", write_config(tmp_path, text),
@@ -216,6 +260,61 @@ def test_gaussian_spec_round_trip_property(spec, seed):
     assert np.array_equal(back.ref.mean0, spec.ref.mean0)
     draws = [sample_centered(s, np.random.default_rng(seed), 4) for s in (spec, back)]
     assert np.array_equal(draws[0], draws[1])
+
+
+# values on and on both sides of every bound the kind table declares
+_INTS = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 9])
+_FLOATS = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0])
+_VALUES = {
+    int: _INTS,
+    float: _FLOATS,
+    str: st.sampled_from(["reference", "informed", "psychic"]),
+}
+
+
+@st.composite
+def table_configs(draw):
+    """INI text for any kind and family: some of its keys, each inside its range or
+    (one time in eight) outside it, and now and then a key only another kind reads."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    family = draw(st.sampled_from(sorted(KINDS[kind].fits)))
+    fixed = {"kind": kind, "family": family}
+    lines = []
+    for sec, keys in _declared(kind, family).items():
+        lines.append(f"[{sec}]")
+        for key in sorted(keys):
+            if key in fixed:
+                lines.append(f"{key} = {fixed[key]}")
+                continue
+            if draw(st.integers(0, 2)) > 0:
+                continue
+            type_, _, allowed = keys[key]
+            inside = allowed is None or draw(st.integers(0, 7)) > 0
+            test = allowed[0] if allowed else (lambda v: True)
+            if type_ in _VALUES:
+                value = draw(_VALUES[type_].filter(lambda v: test(v) == inside))
+            else:  # a list of floats, inside its range when every entry is
+                entries = _FLOATS.filter(lambda x: test((x,)) == inside)
+                value = ",".join(map(str, draw(st.lists(entries, min_size=1, max_size=4))))
+            lines.append(f"{key} = {value}")
+        foreign = sorted({key for other in KINDS for fam in KINDS[other].fits
+                          for key in _declared(other, fam)[sec]} - set(keys))
+        if foreign and draw(st.integers(0, 9)) == 0:
+            lines.append(f"{draw(st.sampled_from(foreign))} = 1")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=table_configs())
+def test_table_configs_build_or_raise_usage_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.ini"
+        path.write_text(text)
+        try:
+            setup = Setup(load_config(str(path)), 0)
+        except UsageError:
+            return
+    assert 0 <= setup.chain_config.probe_index < setup.ref.dim
 
 
 def test_sample_rejects_incomplete_spec(tmp_path, capsys):
