@@ -90,6 +90,8 @@ __all__ = ["main", "load_config", "config_hash", "save_gaussian_spec", "load_gau
 SPEC_FORMAT = "gaussian-spec.v1"
 SPEC_FILENAME = "final_spec.txt"
 _DATA_STREAM = 0x44415243  # fixed data-synthesis stream tag
+# exit 3: float overflow counts, since an in-range parameter can overflow a power
+_NUMERICAL_FAILURES = (NonFiniteObjectiveError, NotACovarianceError, OverflowError)
 
 
 class UsageError(Exception):
@@ -570,7 +572,7 @@ def cmd_optimize(args, cfg) -> int:
     started = _now()
     try:
         final, files = _run_optimize_stage(setup, out)
-    except (NonFiniteObjectiveError, NotACovarianceError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         files = []
         trace = getattr(exc, "trace", None)
         if trace is not None and trace.steps:
@@ -926,7 +928,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteObjectiveError, NotACovarianceError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

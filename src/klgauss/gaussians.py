@@ -30,7 +30,7 @@ from scipy.linalg import solveh_banded
 
 from .errors import NotACovarianceError
 from .reference import BridgeReference, PeriodicReference, ScalarReference
-from .sampling import _finite_rank_fields, require_spd, sample_tridiagonal_precision
+from .sampling import require_spd, sample_tridiagonal_precision
 
 __all__ = [
     "ScalarVariance",
@@ -67,6 +67,12 @@ def project_spd(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
     Symmetrizes, then clamps the eigenvalues: for symmetric input this is
     the exact Frobenius-norm projection onto ``{A = A', lo <= spec(A) <= hi}``.
     """
+    return _clamp_spectrum(matrix, lo, hi)[0]
+
+
+def _clamp_spectrum(matrix: np.ndarray, lo: float, hi: float):
+    """:func:`project_spd` with the eigenpairs it built the result from:
+    ``(projected, clamped eigenvalues, eigenvectors)``."""
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got ({lo}, {hi})")
     a = np.asarray(matrix, dtype=float)
@@ -74,7 +80,7 @@ def project_spd(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(a)
     clipped = np.clip(vals, lo, hi)
     out = (vecs * clipped) @ vecs.T
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.T), clipped, vecs
 
 
 def _vector(text: str) -> np.ndarray:
@@ -88,7 +94,11 @@ class _Family:
     its ``family`` entry in a spec file and ``param`` the field the optimizer
     moves (:attr:`theta`). With ``ref`` the paired reference, a family has
 
-    * ``sample(ref, rng, size)`` -- centred draws, shape ``(size, ref.dim)``;
+    * ``draw(ref, rng, size)`` -- ``(u, a)``: centred draws ``u`` of shape
+      ``(size, ref.dim)`` and their coordinates ``a = gamma_coords(ref, u)``,
+      which the family has at hand while drawing (:class:`FiniteRank` returns
+      the leading coefficients it synthesised ``u`` from); ``sample`` is
+      ``draw(...)[0]``;
     * ``quad(ref, u)`` -- ``<u, Gamma u>`` with ``Gamma = C^{-1} - C0^{-1}``,
       batched over rows of ``u``;
     * ``gamma_coords(ref, u)`` -- the coordinates of the rows of ``u`` that
@@ -98,10 +108,11 @@ class _Family:
       is the dot product of ``gamma_coords(ref, u)`` with
       ``gamma_apply(ref, gamma_coords(ref, v))``;
     * ``quad_coords(ref, a)`` -- ``<u, Gamma u>`` from ``a = gamma_coords(ref, u)``;
-    * ``quad_derivative(ref, u)`` -- per-row derivative of ``-(1/2) <u, Gamma u>``
-      in ``theta``, for ``u`` of shape ``(B, dim)``;
+    * ``quad_derivative(ref, a)`` -- per-row derivative of ``-(1/2) <u, Gamma u>``
+      in ``theta``, also from coordinates ``a`` of shape ``(B, ...)``;
     * ``precondition(ref, term)`` -- descent direction from a raw gradient;
-    * ``project(raw, lo, hi)`` -- ``(theta, was_active)`` for a raw update;
+    * ``project(raw, lo, hi)`` -- ``(family, was_active)``: the family at the
+      projection of a raw update of ``theta``;
     * ``spec_fields()`` and ``from_spec_fields(fields)`` -- the spec-file
       entries after ``family``, in order.
     """
@@ -116,8 +127,8 @@ class _Family:
         """One scalar summarizing the parameter for trace output."""
         return self.theta
 
-    def with_theta(self, theta) -> "CovParam":
-        return replace(self, **{self.param: theta})
+    def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.draw(ref, rng, size)[0]
 
     def gamma_coords(self, ref, u: np.ndarray) -> np.ndarray:
         return u
@@ -138,7 +149,8 @@ class _Family:
         return float(cov_term)
 
     def project(self, raw, lo: float, hi: float):
-        return project_box(raw, lo, hi)
+        theta, active = project_box(raw, lo, hi)
+        return replace(self, **{self.param: theta}), active
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,9 @@ class ScalarVariance(_Family):
         if not self.sigma > 0:
             raise NotACovarianceError(f"sigma must be positive, got {self.sigma}")
 
-    def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.sigma * rng.standard_normal((size, 1))
+    def draw(self, ref, rng: np.random.Generator, size: int):
+        u = self.sigma * rng.standard_normal((size, 1))
+        return u, u
 
     def gamma_apply(self, ref, a: np.ndarray) -> np.ndarray:
         return (1.0 / self.sigma**2 - 1.0) * a
@@ -164,8 +177,8 @@ class ScalarVariance(_Family):
     def quad_coords(self, ref, a: np.ndarray) -> np.ndarray:
         return (1.0 / self.sigma**2 - 1.0) * np.sum(a * a, axis=-1)
 
-    def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
-        return np.sum(u * u, axis=-1) / self.sigma**3
+    def quad_derivative(self, ref, a: np.ndarray) -> np.ndarray:
+        return np.sum(a * a, axis=-1) / self.sigma**3
 
     def spec_fields(self) -> dict:
         return {"sigma": self.sigma}
@@ -198,9 +211,12 @@ class FiniteRank(_Family):
             raise ValueError(f"factor must be square, got shape {f.shape}")
         if not np.allclose(f, f.T, atol=1e-12 * max(1.0, np.abs(f).max())):
             raise ValueError("factor must be symmetric")
-        values, vectors = np.linalg.eigh(f)
+        self._hold(f, *np.linalg.eigh(f))
+
+    def _hold(self, factor: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
+        """Keep ``factor`` with its eigenpairs, which must show it positive definite."""
         require_spd(values, "finite-rank factor")
-        object.__setattr__(self, "factor", f)
+        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "_eig", (values, vectors))
         object.__setattr__(self, "_inv_sq", (vectors / values**2) @ vectors.T)  # B^{-2}
 
@@ -217,8 +233,15 @@ class FiniteRank(_Family):
         if self.rank > ref.n_modes:
             raise ValueError(f"rank {self.rank} exceeds the {ref.n_modes} retained modes")
 
-    def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
-        return _finite_rank_fields(self.factor, ref, rng, size)
+    def draw(self, ref, rng: np.random.Generator, size: int):
+        """Fields whose ``K`` leading coefficients are ``B xi`` and whose tail
+        keeps the reference amplitudes, with those ``K`` coefficients."""
+        k = self.rank
+        xi = rng.standard_normal((size, ref.n_modes))
+        coeffs = np.empty_like(xi)
+        coeffs[:, :k] = xi[:, :k] @ self.factor.T
+        coeffs[:, k:] = ref.lam[k:] * xi[:, k:]
+        return ref.synth(coeffs), coeffs[:, :k]
 
     def _gamma_block(self, ref) -> np.ndarray:
         built = self.__dict__.get("_block")
@@ -236,12 +259,12 @@ class FiniteRank(_Family):
     def quad_coords(self, ref, a: np.ndarray) -> np.ndarray:
         return np.einsum("...i,ij,...j->...", a, self._gamma_block(ref), a)
 
-    def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
+    def quad_derivative(self, ref, a: np.ndarray) -> np.ndarray:
         values, vectors = self._eig
-        proj = ref.coeffs(u)[:, : self.rank] @ vectors
-        a = (proj * values**-1.0) @ vectors.T  # B^{-1} v
-        c = (proj * values**-2.0) @ vectors.T  # B^{-2} v
-        outer = np.einsum("bi,bj->bij", a, c)
+        proj = a @ vectors
+        inv = (proj * values**-1.0) @ vectors.T  # B^{-1} v
+        inv_sq = (proj * values**-2.0) @ vectors.T  # B^{-2} v
+        outer = np.einsum("bi,bj->bij", inv, inv_sq)
         return 0.5 * (outer + outer.transpose(0, 2, 1))
 
     def precondition(self, ref, cov_term) -> np.ndarray:
@@ -249,10 +272,16 @@ class FiniteRank(_Family):
         return ref.lam[ref.n_modes - 1] * np.asarray(cov_term, dtype=float)
 
     def project(self, raw, lo: float, hi: float):
-        """Clamp the spectrum of the raw factor into ``[lo, hi]``."""
-        projected = project_spd(raw, lo, hi)
+        """Clamp the spectrum of the raw factor into ``[lo, hi]``.
+
+        The new family keeps the clamp's own eigenpairs, so it needs no
+        second eigendecomposition.
+        """
+        projected, values, vectors = _clamp_spectrum(raw, lo, hi)
+        family = object.__new__(FiniteRank)
+        family._hold(projected, values, vectors)
         scale = max(1.0, float(np.abs(raw).max()))
-        return projected, bool(np.abs(projected - raw).max() > 1e-12 * scale)
+        return family, bool(np.abs(projected - raw).max() > 1e-12 * scale)
 
     def spec_fields(self) -> dict:
         return {"rank": self.rank, "factor": self.factor.ravel()}
@@ -268,9 +297,10 @@ class _Potential(_Family):
 
     reference = BridgeReference
 
-    def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, ref, rng: np.random.Generator, size: int):
         precision = ref.path_precision_banded(self.theta, self.eps)
-        return sample_tridiagonal_precision(precision, rng, size)
+        u = sample_tridiagonal_precision(precision, rng, size)
+        return u, u
 
     def gamma_apply(self, ref, a: np.ndarray) -> np.ndarray:
         return (0.5 / self.eps**2) * ref.h * (self.theta * a)
@@ -295,8 +325,8 @@ class ConstantPotential(_Potential):
         if not self.eps > 0:
             raise ValueError(f"temperature must be positive, got {self.eps}")
 
-    def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
-        return -(0.25 / self.eps**2) * ref.h * np.sum(u * u, axis=-1)
+    def quad_derivative(self, ref, a: np.ndarray) -> np.ndarray:
+        return -(0.25 / self.eps**2) * ref.h * np.sum(a * a, axis=-1)
 
     def spec_fields(self) -> dict:
         return {"eps": self.eps, "strength": self.strength}
@@ -345,8 +375,8 @@ class VariablePotential(_Potential):
         if self.values.shape != (ref.dim,):
             raise ValueError(f"potential must have shape ({ref.dim},), got {self.values.shape}")
 
-    def quad_derivative(self, ref, u: np.ndarray) -> np.ndarray:
-        return -(0.25 / self.eps**2) * u * u
+    def quad_derivative(self, ref, a: np.ndarray) -> np.ndarray:
+        return -(0.25 / self.eps**2) * a * a
 
     def precondition(self, ref, cov_term) -> np.ndarray:
         """Smooth by an inverse Laplacian and add the current potential back."""
@@ -407,7 +437,9 @@ def cov_param_derivative(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
     ``(B,)`` for the scalar families, ``(B, K, K)`` for the finite-rank
     factor and ``(B, n)`` for the variable potential.
     """
-    return spec.cov.quad_derivative(spec.ref, np.atleast_2d(np.asarray(u, dtype=float)))
+    cov, ref = spec.cov, spec.ref
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    return cov.quad_derivative(ref, cov.gamma_coords(ref, u))
 
 
 def descent_direction_cov(spec: GaussianSpec, cov_term: np.ndarray | float):

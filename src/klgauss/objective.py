@@ -28,7 +28,6 @@ from scipy.integrate import quad
 
 from .gaussians import (
     GaussianSpec,
-    cov_param_derivative,
     gamma_quad,
     log_density_ratio_centered,
     sample_centered,
@@ -131,17 +130,19 @@ def estimate_dkl(
     else:
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
     delta0, quad = _discrepancy(spec, problem, batch)
-    return _kl_estimate(spec, _normalized_log_weights(spec, base, batch), delta0, quad)
+    shift = spec.ref.precision_apply(spec.mean - spec.ref.mean0)
+    return _kl_estimate(spec, _normalized_log_weights(spec, base, batch), delta0, quad, shift)
 
 
 def _kl_estimate(spec: GaussianSpec, logw: np.ndarray, delta0: np.ndarray,
-                 quad: np.ndarray) -> KLEstimate:
-    """The divergence terms from log weights, reduced discrepancies and ``<u, Gamma u>``."""
+                 quad: np.ndarray, shift: np.ndarray) -> KLEstimate:
+    """The divergence terms from log weights, reduced discrepancies, ``<u, Gamma u>``
+    and the mean's shift ``C0^{-1}(m - m0)``."""
     w = np.exp(logw)
     disc = float(w @ delta0)
     se_disc = float(np.sqrt(np.sum(w**2 * (delta0 - disc) ** 2)))
 
-    shift_term = 0.5 * float(spec.ref.cm_norm_sq(spec.mean - spec.ref.mean0))
+    shift_term = 0.5 * float(spec.ref.inner(spec.mean - spec.ref.mean0, shift))
 
     g = 0.5 * quad + logw
     gmax = float(g.max())
@@ -161,7 +162,8 @@ def _kl_estimate(spec: GaussianSpec, logw: np.ndarray, delta0: np.ndarray,
     )
 
 
-def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray) -> GradientPair:
+def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray,
+                       coords: np.ndarray | None = None) -> GradientPair:
     """Mean and covariance gradients from one shared centred batch.
 
     The mean gradient is ``mean(grad_phi(u + m)) + C0^{-1}(m - m0)`` as a
@@ -170,13 +172,21 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray) -> Gradie
     derivative. Both are exact derivatives of :func:`estimate_dkl` on the
     same frozen batch (the covariance one under ``base=`` reweighting),
     whose value on this batch comes along from the same ``phi`` evaluation.
+
+    ``<u, Gamma u>`` and the parameter derivative both read the batch's
+    Gamma coordinates (see ``_Family.draw``); ``coords`` passes those the
+    sampler returned, otherwise they are computed from the batch.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    m_field = problem.grad_phi(batch + spec.mean).mean(axis=0)
-    m_field = m_field + spec.ref.precision_apply(spec.mean - spec.ref.mean0)
+    cov, ref = spec.cov, spec.ref
+    if coords is None:
+        coords = cov.gamma_coords(ref, batch)
+    shift = ref.precision_apply(spec.mean - ref.mean0)
+    m_field = problem.grad_phi(batch + spec.mean).mean(axis=0) + shift
 
-    delta0, quad = _discrepancy(spec, problem, batch)
-    dtheta = cov_param_derivative(spec, batch)
+    quad = cov.quad_coords(ref, coords)
+    delta0 = problem.phi(batch + spec.mean) - 0.5 * quad
+    dtheta = cov.quad_derivative(ref, coords)
     centered = delta0 - delta0.mean()
     if dtheta.ndim == 1:
         cov_term = float(np.mean(centered * (dtheta - dtheta.mean())))
@@ -187,7 +197,8 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray) -> Gradie
     return GradientPair(
         mean=m_field,
         cov=cov_term,
-        estimate=_kl_estimate(spec, _normalized_log_weights(spec, None, batch), delta0, quad),
+        estimate=_kl_estimate(spec, _normalized_log_weights(spec, None, batch), delta0, quad,
+                              shift),
     )
 
 

@@ -6,17 +6,26 @@ mean gradient, the covariance parameter along its family preconditioned
 gradient (see :func:`klgauss.gaussians.descent_direction_cov`), both with
 the decaying step ``a0 * n**(-decay)``. Means are clipped back into their
 box; the covariance family projects its own update (a box clip, or an
-eigenvalue clamp for the symmetric finite-rank factor).
+eigenvalue clamp for the symmetric finite-rank factor) and returns the
+family at the projected value.
+
+Each quantity of an iteration is computed once and handed on. The draw
+returns the batch's Gamma coordinates with the batch, and both the
+quadratic form and its parameter derivative read them; the mean's shift
+``C0^{-1}(m - m0)`` serves the mean gradient and the divergence estimate;
+the finite-rank clamp's eigenpairs become the new family's. On the
+periodic grid an iteration therefore transforms the batch once (its
+synthesis) and eigendecomposes the factor once (its clamp).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NonFiniteObjectiveError
-from .gaussians import GaussianSpec, descent_direction_cov, project_box, sample_centered
+from .gaussians import GaussianSpec, descent_direction_cov, project_box
 from .objective import estimate_gradients
 
 __all__ = [
@@ -125,24 +134,22 @@ def rm_minimize(
     c_lo, c_hi = config.cov_bounds
     trace.snapshot(0, spec)
     for n in range(1, config.iterations + 1):
-        batch = sample_centered(spec, rng, config.batch_size)
-        grads = estimate_gradients(spec, problem, batch)
+        batch, coords = spec.cov.draw(spec.ref, rng, config.batch_size)
+        grads = estimate_gradients(spec, problem, batch, coords)
         if not np.isfinite(grads.estimate.value):
             raise _nonfinite("divergence estimate", n, trace)
         a_n = config.schedule.step_at(n)
 
-        mean_dir = spec.ref.apply_cov(grads.mean)
-        new_mean, mean_active = project_box(spec.mean - a_n * mean_dir, m_lo, m_hi)
-
-        cov_dir = descent_direction_cov(spec, grads.cov)
-        theta_new, cov_active = spec.cov.project(
-            spec.cov.theta - a_n * np.asarray(cov_dir), c_lo, c_hi)
-        if not (np.all(np.isfinite(new_mean)) and np.all(np.isfinite(np.asarray(theta_new)))):
+        raw_mean = spec.mean - a_n * spec.ref.apply_cov(grads.mean)
+        raw_cov = spec.cov.theta - a_n * np.asarray(descent_direction_cov(spec, grads.cov))
+        if not (np.all(np.isfinite(raw_mean)) and np.all(np.isfinite(raw_cov))):
             raise _nonfinite("parameter update", n, trace)
+        new_mean, mean_active = project_box(raw_mean, m_lo, m_hi)
+        new_cov, cov_active = spec.cov.project(raw_cov, c_lo, c_hi)
 
         proj = (1 if mean_active else 0) | (2 if cov_active else 0)
         trace.record(n, a_n, grads.estimate, spec, proj)
-        spec = spec.with_mean(new_mean).with_cov(spec.cov.with_theta(theta_new))
+        spec = replace(spec, mean=new_mean, cov=new_cov)
         if n % config.snapshot_every == 0 or n == config.iterations:
             trace.snapshot(n, spec)
     return spec, trace

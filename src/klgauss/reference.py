@@ -181,13 +181,13 @@ class PeriodicReference:
         v = np.asarray(v, dtype=float)
         if v.shape[-1] != self.n_modes:
             raise ValueError(f"expected {self.n_modes} coefficients, got {v.shape[-1]}")
-        k_hi = self._pairs
-        full = np.zeros(v.shape[:-1] + (2 * k_hi,), dtype=float)
-        full[..., : self.n_modes] = v
-        sin = full[..., 0::2]
-        cos = full[..., 1::2]
+        sin, cos = v[..., 0::2], v[..., 1::2]
         spec = np.zeros(v.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
-        spec[..., 1 : k_hi + 1] = self.n * (cos - 1j * sin) / np.sqrt(2.0)
+        # times 1/sqrt(2) rather than divided by it: that is how numpy divides
+        # a complex by a real, so this rounds as a complex spectrum would
+        r = 1.0 / np.sqrt(2.0)
+        spec.real[..., 1 : cos.shape[-1] + 1] = (self.n * cos) * r
+        spec.imag[..., 1 : sin.shape[-1] + 1] = (self.n * -sin) * r
         return np.fft.irfft(spec, n=self.n, axis=-1)
 
     def sample_centered(self, rng: np.random.Generator, size: int) -> np.ndarray:

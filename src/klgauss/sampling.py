@@ -5,7 +5,10 @@ Three constructions, all exact in distribution on the grid:
 * :func:`sample_finite_rank` -- truncated expansion on the periodic grid
   whose first ``K`` coefficients have covariance ``B @ B`` (``B`` a
   symmetric positive-definite factor) and whose tail keeps the reference
-  amplitudes.
+  amplitudes. It checks the factor, then draws with
+  :meth:`klgauss.gaussians.FiniteRank.draw`, which synthesises the fields
+  from their coefficients once and also returns the ``K`` leading ones, so
+  the optimizer never transforms a batch back to read them.
 * :func:`sample_tridiagonal_precision` -- every bridge measure: banded Cholesky
   factor of its tridiagonal precision and one banded triangular solve, O(n).
 * :func:`sample_ou_bridge` -- pinned Ornstein-Uhlenbeck path for a
@@ -71,22 +74,9 @@ def sample_finite_rank(
     if not np.allclose(factor, factor.T, atol=1e-10 * max(1.0, np.abs(factor).max())):
         raise ValueError("factor must be symmetric")
     require_spd(np.linalg.eigvalsh(factor), "finite-rank factor")
-    return _finite_rank_fields(factor, ref, rng, size)
-
-
-def _finite_rank_fields(
-    factor: np.ndarray,
-    ref: PeriodicReference,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """:func:`sample_finite_rank` for a factor its caller has already checked."""
-    k = factor.shape[0]
-    xi = rng.standard_normal((size, ref.n_modes))
-    coeffs = np.empty_like(xi)
-    coeffs[:, :k] = xi[:, :k] @ factor.T
-    coeffs[:, k:] = ref.lam[k:] * xi[:, k:]
-    return ref.synth(coeffs)
+    from .gaussians import FiniteRank  # gaussians imports this module for its samplers
+    # symmetrized: the family holds factors symmetric to 1e-12, this check allows 1e-10
+    return FiniteRank(0.5 * (factor + factor.T)).draw(ref, rng, size)[0]
 
 
 def _sinh_ratio(a: float, t: np.ndarray) -> np.ndarray:

@@ -189,6 +189,17 @@ def test_invalid_config_exits_2(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sigma", ["1e300", "1e120"])
+def test_overflowing_in_range_config_exits_3(tmp_path, capsys, sigma):
+    # sigma**2 overflows a float at 1e300, sigma**3 at 1e120
+    text = TINY_SCALAR.replace("init_sigma = 1.0", f"init_sigma = {sigma}")
+    assert main(["compare", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", [
     GaussianSpec(np.array([0.3]), ScalarVariance(0.17), ScalarReference()),
     GaussianSpec(np.linspace(-1, 1, 12), FiniteRank(np.array([[0.5, 0.1], [0.1, 0.3]])),

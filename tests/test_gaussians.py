@@ -19,6 +19,7 @@ from klgauss import (
     gamma_quad,
     log_density_ratio_centered,
     make_gaussian_potential,
+    project_spd,
     sample_centered,
 )
 
@@ -259,3 +260,46 @@ def test_sample_centered_dispatch_covariances():
     exact = np.linalg.inv(dense_path_precision(spec.ref, spec.cov.values, spec.cov.eps))
     emp = draws.T @ draws / len(draws)
     assert np.linalg.norm(emp - exact) / np.linalg.norm(exact) < 0.03
+
+
+def test_finite_rank_draw_returns_leading_coefficients():
+    spec = finite_rank_spec()
+    ref, cov = spec.ref, spec.cov
+    u, a = cov.draw(ref, np.random.default_rng(12), 50)
+    assert u.shape == (50, ref.dim) and a.shape == (50, cov.rank)
+    want = ref.coeffs(u)[:, : cov.rank]
+    assert np.abs(a - want).max() <= 1e-12 * np.abs(want).max()
+    # the draw itself is the sampler's
+    again = sample_centered(spec, np.random.default_rng(12), 50)
+    assert np.array_equal(u, again)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.2, 1.5), (0.05, 0.8), (0.31, 0.33)])
+def test_finite_rank_project_matches_family_of_project_spd(lo, hi):
+    # B^{-2} magnifies round-off in the eigenpairs by cond(B)^2, so the bounds
+    # keep it below 300 for a 1e-12 comparison
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        raw = 0.6 * rng.standard_normal((3, 3))
+        family, _ = FiniteRank(np.eye(3)).project(raw, lo, hi)
+        want = FiniteRank(project_spd(raw, lo, hi))
+        assert np.abs(family.factor - want.factor).max() <= 1e-12
+        assert np.abs(family._eig[0] - want._eig[0]).max() <= 1e-12
+        assert np.abs(family._inv_sq - want._inv_sq).max() <= 1e-12 * np.abs(want._inv_sq).max()
+
+
+def test_project_returns_the_family_at_the_projection():
+    cov, active = ScalarVariance(0.5).project(1.7, 0.1, 1.0)
+    assert cov == ScalarVariance(1.0) and active
+    var = VariablePotential(np.ones(4), 0.3, smoothing=0.05)
+    cov, active = var.project(np.array([0.5, 2.0, 3.0, 1.0]), 0.8, 2.5)
+    assert isinstance(cov, VariablePotential) and active
+    assert np.array_equal(cov.values, [0.8, 2.0, 2.5, 1.0])
+    assert (cov.eps, cov.smoothing) == (0.3, 0.05)
+    cov, active = FiniteRank(np.eye(2)).project(np.diag([0.5, 0.7]), 0.1, 1.0)
+    assert np.array_equal(cov.factor, np.diag([0.5, 0.7])) and not active
+
+
+def test_finite_rank_projection_below_zero_is_not_a_covariance():
+    with pytest.raises(NotACovarianceError):
+        FiniteRank(np.eye(2)).project(np.diag([-0.5, 0.7]), -1.0, 1.0)

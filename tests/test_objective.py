@@ -5,10 +5,17 @@ import pytest
 from scipy.integrate import quad
 
 from klgauss import (
+    BridgeReference,
+    ConstantPotential,
+    DarcyProblem,
+    DiffusionProblem,
+    FiniteRank,
     GaussianSpec,
+    PeriodicReference,
     ScalarDoubleWell,
     ScalarReference,
     ScalarVariance,
+    VariablePotential,
     estimate_dkl,
     estimate_gradients,
     gamma_quad,
@@ -173,3 +180,40 @@ def test_acceptance_asymptote_values():
     eps = np.array([0.01, 0.04, 0.25, 1.0])
     vals = [scalar_acceptance_asymptote(e) for e in eps]
     assert np.all(np.diff(vals) > 0)
+
+
+def _every_family():
+    """One (spec, problem) pair per covariance family, means off the reference's."""
+    rng = np.random.default_rng(14)
+    ref = PeriodicReference(32, 1.0)
+    darcy = GaussianSpec(ref.synth(0.3 * rng.standard_normal(ref.n_modes)),
+                         FiniteRank(np.array([[0.3, 0.05], [0.05, 0.2]])), ref)
+    n, eps = 15, 0.2
+    t = np.arange(1, n + 1) / (n + 1)
+    bridge = BridgeReference(n, mean0=t)
+    mean = t + 0.1 * np.sin(np.pi * t)
+    diffusion = DiffusionProblem(eps, n)
+    return {
+        "scalar": (spec_at(0.2, 0.4), ScalarDoubleWell(0.05)),
+        "finite-rank": (darcy, DarcyProblem(32, 0.2, np.array([0.3, 0.9, 1.2, 1.6]))),
+        "constant": (GaussianSpec(mean, ConstantPotential(2.0, eps), bridge), diffusion),
+        "variable": (GaussianSpec(mean, VariablePotential(1.0 + rng.random(n), eps), bridge),
+                     diffusion),
+    }
+
+
+@pytest.mark.parametrize("family", ["scalar", "finite-rank", "constant", "variable"])
+def test_gradients_from_drawn_coordinates_equal_those_from_the_batch(family):
+    spec, problem = _every_family()[family]
+    batch, coords = spec.cov.draw(spec.ref, np.random.default_rng(15), 40)
+    given = estimate_gradients(spec, problem, batch, coords)
+    computed = estimate_gradients(spec, problem, batch)
+    pairs = [(given.mean, computed.mean), (given.cov, computed.cov),
+             (given.estimate.value, computed.estimate.value),
+             (given.estimate.stderr, computed.estimate.stderr)]
+    for got, want in pairs:
+        got, want = np.asarray(got), np.asarray(want)
+        if family == "finite-rank":  # the drawn coefficients, not a transform of the batch
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert np.array_equal(got, want)

@@ -9,6 +9,7 @@ from klgauss import (
     FiniteRank,
     GaussianSpec,
     NonFiniteObjectiveError,
+    NotACovarianceError,
     PeriodicReference,
     RMConfig,
     ScalarDoubleWell,
@@ -201,3 +202,48 @@ def test_rm_variable_potential_stays_in_box():
     assert final.cov.values.min() >= 0.5
     assert final.cov.values.max() <= 4.0
     assert final.mean.min() >= -1.0 and final.mean.max() <= 2.0
+
+
+def _small_darcy(n=16, rank=2):
+    ref = PeriodicReference(n, 1.0)
+    problem = DarcyProblem(n, 0.2, np.array([0.2, 0.8, 1.4, 1.8]))
+    return GaussianSpec(np.zeros(n), FiniteRank(np.diag(ref.lam[:rank])), ref), problem
+
+
+def test_darcy_rm_iteration_transforms_batch_once(monkeypatch):
+    spec0, problem = _small_darcy()
+    batch_size = 20
+    calls = {"rfft": [], "irfft": [], "eigh": 0}
+
+    def counting(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting("rfft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting("irfft", np.fft.irfft))
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rm_minimize(spec0, problem, small_config(iterations=1, batch_size=batch_size,
+                                             mean_bounds=(-5, 5), cov_bounds=(1e-4, 1.0)),
+                np.random.default_rng(7))
+    shapes = calls["rfft"] + calls["irfft"]
+    assert sum(len(s) == 2 and s[0] == batch_size for s in shapes) == 1
+    assert len(shapes) <= 5
+    assert calls["eigh"] == 1
+
+
+def test_rm_finite_rank_negative_spectrum_bound_is_not_a_covariance():
+    # the eigenvalue clamp admits a negative spectrum under these bounds; the
+    # family built from it must still refuse it
+    spec0, problem = _small_darcy()
+    cfg = small_config(iterations=20, batch_size=20, schedule=StepSchedule(50.0, 0.6),
+                       mean_bounds=(-5, 5), cov_bounds=(-1.0, 1.0))
+    with pytest.raises(NotACovarianceError):
+        rm_minimize(spec0, problem, cfg, np.random.default_rng(8))

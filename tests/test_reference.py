@@ -178,3 +178,26 @@ def test_bridge_mean0_handling():
         BridgeReference(9, mean0=np.zeros(5))
     with pytest.raises(ValueError):
         BridgeReference(1)
+
+
+def padded_synth(ref, v):
+    """The zero-padded complex synthesis ``synth`` used to be, kept as its oracle."""
+    k_hi = ref.n_modes // 2 + ref.n_modes % 2
+    full = np.zeros(v.shape[:-1] + (2 * k_hi,), dtype=float)
+    full[..., : ref.n_modes] = v
+    sin, cos = full[..., 0::2], full[..., 1::2]
+    spec = np.zeros(v.shape[:-1] + (ref.n // 2 + 1,), dtype=complex)
+    spec[..., 1 : k_hi + 1] = ref.n * (cos - 1j * sin) / np.sqrt(2.0)
+    return np.fft.irfft(spec, n=ref.n, axis=-1)
+
+
+@pytest.mark.parametrize("n", [16, 17, 128, 129])
+@pytest.mark.parametrize("truncated", [False, True])
+@pytest.mark.parametrize("rows", [(), (1,), (100,)])
+def test_synth_is_bit_identical_to_padded_oracle(n, truncated, rows):
+    full_modes = 2 * ((n - 1) // 2)
+    ref = PeriodicReference(n, 1.5, n_modes=full_modes - 3 if truncated else None)
+    v = np.random.default_rng(n).standard_normal(rows + (ref.n_modes,))
+    got = ref.synth(v)
+    assert got.shape == rows + (n,)
+    assert got.tobytes() == padded_synth(ref, v).tobytes()
