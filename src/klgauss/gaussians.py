@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Union, get_args
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import NotACovarianceError
 from .reference import BridgeReference, PeriodicReference, ScalarReference
@@ -382,6 +381,7 @@ class VariablePotential(_Potential):
         """Smooth by an inverse Laplacian and add the current potential back."""
         smoother = np.array([np.full(ref.dim, -1.0), np.full(ref.dim, 2.0)])  # banded -d^2/dt^2
         smoother[1, 0] = 1.0  # insulated (Neumann) left end; the right end stays pinned
+        from scipy.linalg import solveh_banded
         return solveh_banded(self.smoothing / ref.h**2 * smoother, cov_term) + self.values
 
     def spec_fields(self) -> dict:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gaussians import (
     GaussianSpec,
@@ -229,6 +228,7 @@ def scalar_dkl_analytic(m: float, sigma: float, eps: float, *,
     poly = 2.0 * m**4 + m**2 + 12.0 * m**2 * sigma**2 + sigma**2 + 6.0 * sigma**4
     value = poly / (2.0 * eps) - 0.5 - np.log(sigma)
     if absolute:
+        from scipy.integrate import quad
         z, _ = quad(lambda x: np.exp(-(x**4 + 0.5 * x**2) / eps), -np.inf, np.inf)
         value += np.log(z) - 0.5 * np.log(2.0 * np.pi)
     return float(value)

@@ -23,7 +23,6 @@ gradients exact adjoints of discrete objectives.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .sampling import sample_tridiagonal_precision
 
@@ -235,6 +234,7 @@ class BridgeReference:
         self.t = np.arange(1, n + 1) * self.h
         self._diag, self._off = 1.0 / self.h**2, -0.5 / self.h**2
         self._stencil = np.array([np.full(n, self._off), np.full(n, self._diag)])
+        from scipy.linalg import cholesky_banded
         self._chol = cholesky_banded(self._stencil)
         if mean0 is None:
             mean0 = np.zeros(n)
@@ -259,6 +259,7 @@ class BridgeReference:
 
     def apply_cov(self, field: np.ndarray) -> np.ndarray:
         """Solve the precision stencil: node values of the covariance image."""
+        from scipy.linalg import cho_solve_banded
         f = np.asarray(field, dtype=float)
         return cho_solve_banded((self._chol, False), f.reshape(-1, self.n).T).T.reshape(f.shape)
 

@@ -14,6 +14,9 @@ Three constructions, all exact in distribution on the grid:
 * :func:`sample_ou_bridge` -- pinned Ornstein-Uhlenbeck path for a
   constant potential: a one-step autoregressive recursion in ``t`` plus a
   sinh-profile endpoint correction; the banded sampler's independent check.
+
+scipy is imported inside the functions that call it, so importing this
+module loads numpy only; ``scipy.linalg`` loads on the first banded draw.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, solve_banded
 
 from .errors import NotACovarianceError
 
@@ -108,7 +110,7 @@ def sample_ou_bridge(
     a = np.sqrt(strength) / eps
     rho = np.exp(-a * h)
     step_sd = np.sqrt((1.0 - rho**2) / a)
-    from scipy.signal import lfilter  # here: it takes most of a second to import
+    from scipy.signal import lfilter  # in the function, like every scipy import here
     noise = step_sd * rng.standard_normal((size, n + 1))
     z = lfilter([1.0], [1.0, -rho], noise, axis=-1)  # z_k = rho z_{k-1} + noise_k
     t = np.arange(1, n + 1) * h
@@ -127,9 +129,10 @@ def sample_tridiagonal_precision(
     diagonal. With ``P = U' U`` by banded Cholesky the draws are ``U^{-1} xi``
     for ``xi = rng.standard_normal((size, n))``, so their covariance is ``P^{-1}``.
     """
+    from scipy.linalg import cholesky_banded, solve_banded
     try:
         factor = cholesky_banded(banded)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
         raise NotACovarianceError(f"precision is not positive definite: {exc}") from exc
     xi = rng.standard_normal((size, factor.shape[1]))
     return solve_banded((0, 1), factor, xi.T, check_finite=False).T

@@ -2,8 +2,13 @@
 
 import csv
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import klgauss
 from klgauss import (
     BridgeReference,
     ConstantPotential,
@@ -22,6 +28,7 @@ from klgauss import (
     ScalarVariance,
     VariablePotential,
     sample_centered,
+    scalar_dkl_analytic,
     scalar_sigma_opt,
 )
 from klgauss.gaussians import FAMILIES
@@ -322,10 +329,22 @@ def test_table_configs_build_or_raise_usage_error(text):
         path = Path(tmp) / "cfg.ini"
         path.write_text(text)
         try:
-            setup = Setup(load_config(str(path)), 0)
+            cfg = load_config(str(path))
+            setup = Setup(cfg, 0)
         except UsageError:
             return
-    assert 0 <= setup.chain_config.probe_index < setup.ref.dim
+        assert 0 <= setup.chain_config.probe_index < setup.ref.dim
+        # what builds also runs: one RM iteration and 20 chain steps on at most 16 nodes
+        cfg.setdefault("optimize", {})["iterations"] = 1
+        cfg.setdefault("chain", {})["steps"] = 20
+        if "n" in KINDS[setup.kind].problem:
+            cfg["problem"]["n"] = min(setup.ref.dim, 16)
+        path.write_text(canonical_config_text(cfg))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["compare", "--config", str(path), "--out", str(Path(tmp) / "run")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_sample_rejects_incomplete_spec(tmp_path, capsys):
@@ -551,3 +570,62 @@ def test_check_battery(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 7
     assert "FAIL" not in out
+
+
+TINY_DIFFUSION = """\
+[problem]
+kind = diffusion
+n = 7
+
+[fit]
+family = variable-potential
+
+[optimize]
+iterations = 3
+batch_size = 10
+
+[chain]
+steps = 50
+thin = 5
+max_lag = 5
+"""
+
+# runs in a fresh interpreter: this one has scipy loaded already
+_IMPORT_PROBE = """\
+import json, sys
+
+def loaded():
+    return {"scipy": any(k.split(".")[0] == "scipy" for k in sys.modules),
+            "scipy.linalg": "scipy.linalg" in sys.modules,
+            "scipy.integrate": "scipy.integrate" in sys.modules}
+
+import klgauss, klgauss.cli
+seen = {"import": loaded()}
+for kind in ("scalar", "darcy", "diffusion"):
+    assert klgauss.cli.main(["compare", "--config", kind + ".ini", "--out", kind]) == 0
+    seen[kind] = loaded()
+assert klgauss.cli.main(["scalar-analytic", "--config", "scalar.ini", "--out", "analytic"]) == 0
+seen["scalar-analytic"] = loaded()
+with open("seen.json", "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_commands_import_only_the_scipy_they_use(tmp_path):
+    tiny_scalar = TINY_SCALAR.replace("iterations = 1500", "iterations = 5").replace(
+        "steps = 4000", "steps = 50")
+    for kind, text in (("scalar", tiny_scalar), ("darcy", TINY_DARCY.replace(
+            "iterations = 20", "iterations = 3")), ("diffusion", TINY_DIFFUSION)):
+        write_config(tmp_path, text, name=f"{kind}.ini")
+    src = str(Path(klgauss.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-B", "-c", _IMPORT_PROBE], cwd=tmp_path,
+                            capture_output=True, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    seen = json.loads((tmp_path / "seen.json").read_text())
+    none = {"scipy": False, "scipy.linalg": False, "scipy.integrate": False}
+    assert seen["import"] == seen["scalar"] == seen["darcy"] == none
+    assert seen["diffusion"] == {"scipy": True, "scipy.linalg": True, "scipy.integrate": False}
+    assert seen["scalar-analytic"]["scipy.integrate"]
+    absolute = scalar_dkl_analytic(0.0, scalar_sigma_opt(0.01), 0.01, absolute=True)
+    assert f"{absolute:.6f} (absolute)" in result.stdout

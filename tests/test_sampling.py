@@ -2,13 +2,24 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from klgauss import (
     BridgeReference,
+    ConstantPotential,
+    FiniteRank,
+    GaussianSpec,
     NotACovarianceError,
     PeriodicReference,
+    ScalarReference,
+    ScalarVariance,
+    VariablePotential,
     dirichlet_precision,
     require_spd,
+    sample_centered,
     sample_finite_rank,
     sample_ou_bridge,
     sample_tridiagonal_precision,
@@ -143,3 +154,58 @@ def test_tridiagonal_sampler_covariance_and_validation(seed):
     not_spd = np.array([[0.0, -2.0, -2.0], [1.0, 1.0, 1.0]])
     with pytest.raises(NotACovarianceError):
         sample_tridiagonal_precision(not_spd, rng, 4)
+
+
+def test_scipy_linalg_raises_the_numpy_error_class():
+    # the banded sampler catches np.linalg.LinAlgError around scipy's banded Cholesky
+    assert scipy.linalg.LinAlgError is np.linalg.LinAlgError
+
+
+_POSITIVE = st.floats(0.01, 100.0)
+
+
+@st.composite
+def family_draws(draw):
+    """A spec of any family at random SPD parameters on a tiny grid, the map
+    from its draws to coordinates, and the exact covariance of those coordinates."""
+    family = draw(st.sampled_from(["scalar-variance", "finite-rank", "constant-potential",
+                                   "variable-potential"]))
+    if family == "scalar-variance":
+        sigma = draw(st.floats(0.05, 5.0))
+        spec = GaussianSpec(np.zeros(1), ScalarVariance(sigma), ScalarReference())
+        return spec, lambda u: u, np.array([[sigma**2]])
+    if family == "finite-rank":
+        ref = PeriodicReference(draw(st.integers(4, 16)), draw(st.floats(0.1, 10.0)))
+        k = draw(st.integers(1, min(3, ref.n_modes)))
+        a = draw(arrays(float, (k, k), elements=st.floats(-1.0, 1.0)))
+        factor = a @ a.T + draw(st.floats(0.05, 1.0)) * np.eye(k)
+        factor = 0.5 * (factor + factor.T)
+        exact = np.diag(ref.lam2)  # the tail keeps the reference spectrum
+        exact[:k, :k] = factor @ factor
+        return GaussianSpec(np.zeros(ref.n), FiniteRank(factor), ref), ref.coeffs, exact
+    n, eps = draw(st.integers(2, 16)), draw(st.floats(0.05, 1.0))
+    if family == "constant-potential":
+        potential = draw(_POSITIVE)
+        cov = ConstantPotential(potential, eps)
+    else:
+        potential = draw(arrays(float, n, elements=_POSITIVE))
+        cov = VariablePotential(potential, eps)
+    exact = np.linalg.inv(dense_path_precision(n, potential, eps))
+    return GaussianSpec(np.zeros(n), cov, BridgeReference(n)), lambda u: u, exact
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=family_draws(), seed=st.integers(0, 2**32 - 1))
+def test_family_draws_have_the_exact_covariance_property(case, seed):
+    spec, coords, exact = case
+    size = 4000
+    c = coords(sample_centered(spec, np.random.default_rng(seed), size))
+    d = c.shape[1]
+    # fixed functionals: the first and the last coordinate, the sum and the alternating sum
+    w = np.array([np.eye(d)[0], np.eye(d)[-1], np.ones(d), (-1.0) ** np.arange(d)])
+    proj = c @ w.T
+    got = proj.T @ proj / size
+    want = w @ exact @ w.T
+    # Monte Carlo standard error of a centred product mean of Gaussians
+    stderr = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / size)
+    assert np.all(np.abs(got - want) <= 5.0 * stderr)
