@@ -430,7 +430,8 @@ def save_gaussian_spec(path: Path, spec: GaussianSpec) -> None:
 def load_gaussian_spec(path: Path) -> GaussianSpec:
     """Read back a fit written by :func:`save_gaussian_spec`.
 
-    A malformed or incomplete file raises ``ValueError``.
+    A malformed or incomplete file, or one with a non-finite number, raises
+    ``ValueError``.
     """
     fields: dict[str, str] = {}
     for line in path.read_text().splitlines():
@@ -441,6 +442,13 @@ def load_gaussian_spec(path: Path) -> GaussianSpec:
         fields[key.strip()] = value.strip()
     if fields.get("format") != SPEC_FORMAT:
         raise ValueError(f"{path} is not a {SPEC_FORMAT} file")
+    for key, value in fields.items():
+        try:
+            numbers = _float_list(value)
+        except ValueError:
+            continue  # a name, or a malformed entry that its own parser reports
+        if not np.isfinite(numbers).all():
+            raise ValueError(f"{path} has a non-finite {key} entry")
 
     def vec(key: str) -> np.ndarray:
         return np.array(_float_list(fields[key]))
@@ -683,7 +691,8 @@ def cmd_sample(args, cfg) -> int:
     elapsed = time.perf_counter() - t0
     print(f"sample[{setup.algorithm}]: {diag.steps} steps in {elapsed:.1f} s, "
           f"acceptance {diag.acceptance_rate:.4f}, "
-          f"{diag.nonfinite_proposals} non-finite proposals")
+          f"{diag.nonfinite_proposals} non-finite proposals, "
+          f"{diag.potential_calls} potential calls on {diag.potential_rows} rows")
     files = _chain_outputs(out, diag, setup.chain_config.max_lag)
     _write_manifest(out, "sample", cfg, args.seed, args.paper_scale, files, started)
     return 0
@@ -719,7 +728,8 @@ def cmd_compare(args, cfg) -> int:
         summary.append((name, diag.acceptance_rate, tau,
                         diag.node_mean[pi], diag.node_var[pi]))
         print(f"compare[{name}]: acceptance {diag.acceptance_rate:.4f}, "
-              f"probe autocorrelation time {tau:.2f} (thinned), {elapsed:.1f} s")
+              f"probe autocorrelation time {tau:.2f} (thinned), {elapsed:.1f} s, "
+              f"{diag.potential_calls} potential calls on {diag.potential_rows} rows")
     _write_csv(out / "compare.csv",
                ["algorithm", "steps", "acceptance_rate", "iact", "lag", "autocov"],
                rows)

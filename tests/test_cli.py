@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -372,6 +373,52 @@ def test_sample_rejects_spec_of_other_family(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "constant-potential fit, config wants fit.family = variable-potential" in err
     assert "Traceback" not in err
+
+
+def diffusion_spec_run(tmp_path, **edits):
+    """A run directory holding a 15-node constant-potential spec, its entries
+    replaced by ``edits``, and a config for informed sampling from it."""
+    text = ("[problem]\nkind = diffusion\nn = 15\n[fit]\nfamily = constant-potential\n"
+            "[chain]\nsteps = 100\nbeta = 0.6\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    t = np.arange(1, 16) / 16.0
+    save_gaussian_spec(out / SPEC_FILENAME, GaussianSpec(
+        t, ConstantPotential(2.0, 0.05), BridgeReference(15, mean0=t)))
+    lines = []
+    for line in (out / SPEC_FILENAME).read_text().splitlines():
+        key = line.partition(" =")[0]
+        lines.append(f"{key} = {edits[key]}" if key in edits else line)
+    (out / SPEC_FILENAME).write_text("\n".join(lines) + "\n")
+    return write_config(tmp_path, text), out
+
+
+@pytest.mark.parametrize("key, value", [("mean", ",".join(["nan"] * 15)),
+                                        ("strength", "inf")], ids=["mean", "strength"])
+def test_sample_rejects_nonfinite_spec(tmp_path, capsys, key, value):
+    cfg_path, out = diffusion_spec_run(tmp_path, **{key: value})
+    assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"non-finite {key} entry" in err
+    assert "Traceback" not in err
+
+
+def test_sample_with_huge_spec_mean_is_a_numerical_failure(tmp_path, capsys):
+    # every entry is finite, but the potential at the mean is not
+    cfg_path, out = diffusion_spec_run(tmp_path, mean=",".join(["1e200"] * 15))
+    assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: potential is not finite at the proposal mean" in err
+    assert "Traceback" not in err
+
+
+def test_sample_reports_potential_work(tmp_path, capsys):
+    cfg_path, out = diffusion_spec_run(tmp_path)
+    assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("sample[informed]: 100 steps")
+    calls, rows = map(int, re.search(r"(\d+) potential calls on (\d+) rows", line).groups())
+    assert 1 < calls <= 101 <= rows  # the start's row and one per step at least
 
 
 def test_optimize_outputs_and_determinism(tmp_path, capsys):

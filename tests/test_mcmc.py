@@ -1,6 +1,7 @@
 """pCN chains: stream discipline, invariance, diagnostics."""
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from klgauss import (
     DiffusionProblem,
     FiniteRank,
     GaussianSpec,
+    NonFiniteObjectiveError,
     PeriodicReference,
     ScalarDoubleWell,
     ScalarReference,
@@ -285,6 +287,88 @@ def test_accept_heavy_chain_matches_naive_chain(beta, monkeypatch):
     assert np.allclose(got.node_var, want["node_var"], atol=1e-12)
 
 
+def accept_heavy_case(family, dim=32):
+    """Like :func:`informed_case`, with a target the fit matches closely enough
+    that the beta = 0.6 informed chain accepts over 80% of its proposals."""
+    if family == "finite-rank":
+        ref = PeriodicReference(dim, 1.0)
+        u_true, data = synthesize_darcy_data(dim, 0.3, np.random.default_rng(0))
+        factor = 0.8 * np.diag(ref.lam[:2]) + 0.01 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        spec = GaussianSpec(ref.synth(ref.coeffs(0.2 * u_true)), FiniteRank(factor), ref)
+        return DarcyProblem(dim, 0.3, data), spec
+    t = np.arange(1, dim + 1) / (dim + 1)
+    cov = VariablePotential(1.0 + 0.5 * np.random.default_rng(2).random(dim), 0.5)
+    return (DiffusionProblem(0.5, dim),
+            GaussianSpec(t + 0.1 * np.sin(np.pi * t), cov, BridgeReference(dim, mean0=t)))
+
+
+@pytest.mark.parametrize("family", ["finite-rank", "variable-potential"])
+def test_accept_heavy_informed_chain_matches_naive_chain(family, monkeypatch):
+    # above 80% acceptance the beta < 1 windows run ahead on accepts, each row
+    # proposed from the row before it; 37-row innovation blocks cut them, a
+    # held-state budget of five rows flushes inside them, and the carried
+    # Gaussian terms follow every accept
+    import klgauss.mcmc as mcmc
+
+    dim = 32
+    problem, spec = accept_heavy_case(family, dim)
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 37 * dim)
+    monkeypatch.setattr(mcmc, "_HELD_ELEMENTS", 5 * dim)
+    config = ChainConfig(steps=2000, beta=0.6, thin=7, burn_frac=0.1)
+    got = fit_chain(problem, spec, config, np.random.default_rng(53))
+    want = naive_chain(residual_potential(problem, spec), spec.mean,
+                       partial(sample_centered, spec), config, np.random.default_rng(53))
+    assert got.acceptance_rate == want["acceptance"] > 0.8
+    assert np.array_equal(got.probe_steps, want["probe_steps"])
+    assert np.array_equal(got.probe, want["probe"])
+    assert np.array_equal(got.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(got.final_state, want["final"])
+    assert np.allclose(got.node_mean, want["node_mean"])
+    assert np.allclose(got.node_var, want["node_var"], atol=1e-12)
+    oracle = residual_potential(problem, spec)(got.final_state[None])[0]
+    assert got.final_potential == pytest.approx(oracle, rel=1e-9)
+    # runs of accepts are scored a window, not a row, at a time
+    assert got.potential_calls <= config.steps / 2
+    assert got.potential_rows <= 1.75 * config.steps
+
+
+def test_nonfinite_proposal_ends_a_window_of_accepts(monkeypatch):
+    # a non-finite proposal right after an accept falls in a window that runs
+    # ahead on accepts; it is a reject, counted once, and the rows built on it
+    # are thrown away unscanned
+    import klgauss.mcmc as mcmc
+
+    dim = 32
+    inner, spec = accept_heavy_case("variable-potential", dim)
+    cut = spec.mean[dim // 2] + 0.15
+
+    def phi(fields):
+        return np.where(fields[:, dim // 2] > cut, np.inf, inner.phi(fields))
+
+    problem = SimpleNamespace(phi=phi)
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 37 * dim)
+    config = ChainConfig(steps=2000, beta=0.6, thin=1)
+    got = fit_chain(problem, spec, config, np.random.default_rng(59))
+    flags = []  # per oracle step: was the proposal non-finite
+
+    def recorded(fields):
+        out = residual_potential(problem, spec)(fields)
+        flags.append(not np.isfinite(out[0]))
+        return out
+
+    want = naive_chain(recorded, spec.mean, partial(sample_centered, spec), config,
+                       np.random.default_rng(59))
+    nonfinite_steps = np.flatnonzero(flags[1:]) + 1  # steps, after the start's call
+    moved = np.diff(want["accepts_cum"], prepend=0) > 0  # step k accepted, at index k - 1
+    after_accept = [k for k in nonfinite_steps if k > 1 and moved[k - 2]]
+    assert len(after_accept) > 5
+    assert got.nonfinite_proposals == want["nonfinite"] == len(nonfinite_steps)
+    assert got.acceptance_rate == want["acceptance"] > 0.5
+    assert np.array_equal(got.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(got.probe, want["probe"])
+    assert np.array_equal(got.final_state, want["final"])
+
+
 def test_held_states_do_not_pin_innovation_blocks(monkeypatch):
     # a beta = 1 chain accepts rows of its whole-block window; the states it
     # holds for the node moments must be copies, or each would keep its block
@@ -355,7 +439,7 @@ def test_nonfinite_proposals_are_rejected_and_counted():
     assert diag.final_state[0] <= 0.8
     assert np.isfinite(diag.node_mean).all()
 
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteObjectiveError):
         run_chain(lambda u: np.full(u.shape[0], np.nan), np.zeros(1),
                   gaussian_sampler(1), config, np.random.default_rng(0))
 
@@ -407,7 +491,10 @@ def test_chain_batches_rejection_runs_within_blocks(monkeypatch):
         rows = fields.shape[0]
         calls.append((rows, pos["left"]))
         accept = schedule[pos["step"]: pos["step"] + rows]
-        used = int(np.argmax(accept)) + 1 if accept.any() else rows
+        # a window right after an accept assumes accepts and ends at its first
+        # reject; any other window ends at its first accept
+        ends = ~accept if pos["step"] and schedule[pos["step"] - 1] else accept
+        used = int(np.argmax(ends)) + 1 if ends.any() else rows
         pos["step"] += used
         pos["left"] -= used
         return np.where(accept, 0.0, 1e300)
@@ -420,6 +507,48 @@ def test_chain_batches_rejection_runs_within_blocks(monkeypatch):
     assert len(window_calls) <= steps / 3
     assert all(rows <= left for rows, left in window_calls)
     assert max(rows for rows, _ in window_calls) > 8
+
+
+def test_chain_batches_accept_runs_within_blocks(monkeypatch):
+    # the same scripted potential accepting with probability 0.85: windows that
+    # start right after an accept run ahead on accepts, and a run of accepts
+    # is scored with one call, never past the end of the innovation block
+    import klgauss.mcmc as mcmc
+
+    dim, block, steps = 3, 50, 5000
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", block * dim)
+    schedule = np.random.default_rng(41).random(steps) < 0.85
+    calls = []  # (rows asked for, rows left in the innovation block)
+    pos = {"step": 0, "left": 0}
+
+    def sampler(rng, size):
+        assert pos["left"] == 0  # the last block was used up
+        pos["left"] = size
+        return rng.standard_normal((size, dim))
+
+    def scripted(fields):
+        if not calls:
+            calls.append(None)  # the potential at the chain's start
+            return np.zeros(1)
+        rows = fields.shape[0]
+        calls.append((rows, pos["left"]))
+        accept = schedule[pos["step"]: pos["step"] + rows]
+        ends = ~accept if pos["step"] and schedule[pos["step"] - 1] else accept
+        used = int(np.argmax(ends)) + 1 if ends.any() else rows
+        pos["step"] += used
+        pos["left"] -= used
+        return np.where(accept, 0.0, 1e300)
+
+    diag = run_chain(scripted, np.zeros(dim), sampler, ChainConfig(steps, 0.6),
+                     np.random.default_rng(5))
+    window_calls = calls[1:]
+    assert diag.acceptance_rate == schedule.mean() > 0.8
+    assert pos["step"] == steps
+    assert all(rows <= left for rows, left in window_calls)
+    assert len(window_calls) <= steps / 2
+    assert max(rows for rows, _ in window_calls) > 4
+    assert diag.potential_calls == len(calls)
+    assert diag.potential_rows == 1 + sum(rows for rows, _ in window_calls)
 
 
 def test_probe_index_bounds_checked():
