@@ -45,7 +45,7 @@ import time
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -573,6 +573,23 @@ def _run_optimize_stage(setup: Setup, out: Path) -> tuple[GaussianSpec, list[str
     return final, files
 
 
+def _numerical_failure(out: Path, command: str, args, cfg, started: str, exc: Exception,
+                       files: Iterable[str] = ()) -> int:
+    """Leave an error manifest for a run that failed numerically; returns exit 3.
+
+    The manifest lists ``files``, those the run wrote before it failed, and
+    the trace files of a fit that failed partway, which it writes here.
+    """
+    files = list(files)
+    trace = getattr(exc, "trace", None)
+    if trace is not None and trace.steps:
+        files += _write_trace_files(out, trace)
+    _write_manifest(out, command, cfg, args.seed, args.paper_scale, files, started,
+                    error=str(exc))
+    print(f"numerical failure: {exc}", file=sys.stderr)
+    return 3
+
+
 def cmd_optimize(args, cfg) -> int:
     setup = Setup(cfg, args.seed)
     out = Path(args.out)
@@ -581,14 +598,7 @@ def cmd_optimize(args, cfg) -> int:
     try:
         final, files = _run_optimize_stage(setup, out)
     except _NUMERICAL_FAILURES as exc:
-        files = []
-        trace = getattr(exc, "trace", None)
-        if trace is not None and trace.steps:
-            files = _write_trace_files(out, trace)
-        _write_manifest(out, "optimize", cfg, args.seed, args.paper_scale, files,
-                        started, error=str(exc))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return _numerical_failure(out, "optimize", args, cfg, started, exc)
     est = estimate_dkl(final, setup.problem, 2000, np.random.default_rng([args.seed, 7]))
     print(f"optimize: fresh-batch divergence estimate {est.value:.4f} "
           f"(stderr {est.stderr:.4f})")
@@ -687,7 +697,10 @@ def cmd_sample(args, cfg) -> int:
         chain = partial(run_chain, lambda fields: np.zeros(len(fields)), mean, sampler)
     rng = np.random.default_rng([args.seed, stream])
     t0 = time.perf_counter()
-    diag = chain(setup.chain_config, rng)
+    try:
+        diag = chain(setup.chain_config, rng)
+    except _NUMERICAL_FAILURES as exc:
+        return _numerical_failure(out, "sample", args, cfg, started, exc)
     elapsed = time.perf_counter() - t0
     print(f"sample[{setup.algorithm}]: {diag.steps} steps in {elapsed:.1f} s, "
           f"acceptance {diag.acceptance_rate:.4f}, "
@@ -698,13 +711,9 @@ def cmd_sample(args, cfg) -> int:
     return 0
 
 
-def cmd_compare(args, cfg) -> int:
-    setup = Setup(cfg, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    spec, files = _run_optimize_stage(setup, out)
-
+def _compare_chains(setup: Setup, spec: GaussianSpec, seed: int):
+    """Run the reference and the informed chain; ``compare.csv``'s rows and a
+    summary row per chain."""
     max_lag = setup.chain_config.max_lag
     pi = setup.chain_config.probe_index
     rows = []
@@ -714,7 +723,7 @@ def cmd_compare(args, cfg) -> int:
         ("informed", partial(fit_chain, setup.problem, spec), 3),
     ):
         t0 = time.perf_counter()
-        diag = chain(setup.chain_config, np.random.default_rng([args.seed, stream]))
+        diag = chain(setup.chain_config, np.random.default_rng([seed, stream]))
         elapsed = time.perf_counter() - t0
         probe = diag.probe_post_burn
         if probe.size >= 2:
@@ -730,6 +739,20 @@ def cmd_compare(args, cfg) -> int:
         print(f"compare[{name}]: acceptance {diag.acceptance_rate:.4f}, "
               f"probe autocorrelation time {tau:.2f} (thinned), {elapsed:.1f} s, "
               f"{diag.potential_calls} potential calls on {diag.potential_rows} rows")
+    return rows, summary
+
+
+def cmd_compare(args, cfg) -> int:
+    setup = Setup(cfg, args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    started = _now()
+    files: list[str] = []
+    try:
+        spec, files = _run_optimize_stage(setup, out)
+        rows, summary = _compare_chains(setup, spec, args.seed)
+    except _NUMERICAL_FAILURES as exc:
+        return _numerical_failure(out, "compare", args, cfg, started, exc, files)
     _write_csv(out / "compare.csv",
                ["algorithm", "steps", "acceptance_rate", "iact", "lag", "autocov"],
                rows)

@@ -51,13 +51,19 @@ __all__ = [
 
 
 def project_box(values, lo: float, hi: float):
-    """Clip into ``[lo, hi]``; returns ``(projected, was_active)``."""
+    """Clip into ``[lo, hi]``; returns ``(projected, was_active)``.
+
+    A scalar is clipped as a Python float; an array by
+    ``np.minimum(np.maximum(...))``, which is ``np.clip`` without its
+    Python-level wrapper. Both give ``np.clip``'s bits, NaN included.
+    """
     arr = np.asarray(values, dtype=float)
-    out = np.clip(arr, lo, hi)
-    active = bool(np.any(out != arr))
-    if np.isscalar(values) or arr.ndim == 0:
-        return float(out), active
-    return out, active
+    if arr.ndim == 0:
+        value = float(arr)
+        out = min(max(value, lo), hi)
+        return out, out != value
+    out = np.minimum(np.maximum(arr, lo), hi)
+    return out, bool((out != arr).any())
 
 
 def project_spd(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -77,7 +83,7 @@ def _clamp_spectrum(matrix: np.ndarray, lo: float, hi: float):
     a = np.asarray(matrix, dtype=float)
     a = 0.5 * (a + a.T)
     vals, vecs = np.linalg.eigh(a)
-    clipped = np.clip(vals, lo, hi)
+    clipped = np.minimum(np.maximum(vals, lo), hi)  # np.clip without its wrapper
     out = (vecs * clipped) @ vecs.T
     return 0.5 * (out + out.T), clipped, vecs
 
@@ -174,10 +180,10 @@ class ScalarVariance(_Family):
         return (1.0 / self.sigma**2 - 1.0) * a
 
     def quad_coords(self, ref, a: np.ndarray) -> np.ndarray:
-        return (1.0 / self.sigma**2 - 1.0) * np.sum(a * a, axis=-1)
+        return (1.0 / self.sigma**2 - 1.0) * (a * a).sum(axis=-1)
 
     def quad_derivative(self, ref, a: np.ndarray) -> np.ndarray:
-        return np.sum(a * a, axis=-1) / self.sigma**3
+        return (a * a).sum(axis=-1) / self.sigma**3
 
     def spec_fields(self) -> dict:
         return {"sigma": self.sigma}
@@ -305,7 +311,7 @@ class _Potential(_Family):
         return (0.5 / self.eps**2) * ref.h * (self.theta * a)
 
     def quad_coords(self, ref, a: np.ndarray) -> np.ndarray:
-        return (0.5 / self.eps**2) * ref.h * np.sum(self.theta * a * a, axis=-1)
+        return (0.5 / self.eps**2) * ref.h * (self.theta * a * a).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -325,7 +331,7 @@ class ConstantPotential(_Potential):
             raise ValueError(f"temperature must be positive, got {self.eps}")
 
     def quad_derivative(self, ref, a: np.ndarray) -> np.ndarray:
-        return -(0.25 / self.eps**2) * ref.h * np.sum(a * a, axis=-1)
+        return -(0.25 / self.eps**2) * ref.h * (a * a).sum(axis=-1)
 
     def spec_fields(self) -> dict:
         return {"eps": self.eps, "strength": self.strength}
@@ -355,7 +361,7 @@ class VariablePotential(_Potential):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError(f"potential values must be a vector, got shape {v.shape}")
-        if not np.all(v > 0):
+        if not (v > 0).all():
             raise NotACovarianceError(
                 f"potential must be positive everywhere; min is {float(v.min()):.6g}"
             )
@@ -457,14 +463,17 @@ class _GaussianPotential:
     ``phi_nu(u) = -<w, shift> + (1/2) <w, Gamma w> + const`` with ``w = u - m``,
     ``shift = C0^{-1}(m - m0)`` and ``const = -(1/2) |m - m0|^2_{C0}`` -- the
     log-density of the reference relative to the fit, up to the (dropped)
-    normalizing constants. ``shift`` and ``const`` are computed once here.
+    normalizing constants. ``shift`` and ``const`` are computed once here;
+    a chain started on a fit whose ``const`` overflows fails on its
+    non-finite start, so numpy need not warn of the overflow.
     """
 
     def __init__(self, spec: GaussianSpec) -> None:
         ref = spec.ref
         self.spec = spec
-        self.shift = ref.precision_apply(spec.mean - ref.mean0)
-        self.const = -0.5 * float(ref.cm_norm_sq(spec.mean - ref.mean0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.shift = ref.precision_apply(spec.mean - ref.mean0)
+            self.const = -0.5 * float(ref.cm_norm_sq(spec.mean - ref.mean0))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         w = np.asarray(u, dtype=float) - self.spec.mean

@@ -246,7 +246,8 @@ def run_chain(
     chunk = min(_CHUNK, max(1, _BLOCK_ELEMENTS // dim))
 
     state = mean.copy()
-    pot_state = float(np.asarray(potential(state[None]))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start raises below
+        pot_state = float(np.asarray(potential(state[None]))[0])
     if gaussian is not None:
         pot_state -= gaussian.const  # the Gaussian part at its own mean
     if not np.isfinite(pot_state):
@@ -275,83 +276,86 @@ def run_chain(
     accepting = False  # whether the next window assumes accepts
     calls = rows_scored = 1  # the potential at the start
     step = 0
-    while step < config.steps:
-        block = min(chunk, config.steps - step)
-        xi = sampler(noise_rng, block)
-        log_u = np.log(accept_rng.random(block)).tolist()
-        if gaussian is not None:
-            s_xi, a_xi, q_xi = gaussian.innovation_terms(xi)
-            if carried:
-                s_xi, q_xi = s_xi.tolist(), q_xi.tolist()
-        lo = 0
-        while lo < block:
-            hi = min(lo + (ahead if accepting else window), block)
-            # the innovation part first, the state's added in place: one array of
-            # the window's size is made, not two
-            proposals = beta * xi[lo:hi]
-            if accepting:
-                _propose_in_turn(proposals, state, mean, contract)
-            else:
-                # each row is a proposal from the state, as if the rows before it
-                # were rejected
-                proposals += mean + contract * (state - mean)
-            pot_window = np.asarray(potential(proposals), dtype=float)
-            calls += 1
-            rows_scored += hi - lo
-            if gaussian is not None and independent:
-                pot_window = pot_window - (-s_xi + 0.5 * q_xi + gaussian.const)
-            pot_window = pot_window.tolist()
-            probe_window = proposals[:, probe_index].tolist()
-            taken: list[int] = []  # accepted rows of the window
-            first_step = step + 1  # the step that row 0 of the window is proposed at
-            # the outcome the window was not built on ends it; nothing ends a
-            # window at beta = 1
-            ends_on_accept = not (independent or accepting)
-            for i in range(lo, hi):
-                step += 1
-                pot_prop = pot_window[i - lo]
+    # a non-finite proposal, potential or Gaussian term is a rejected proposal:
+    # numpy need not warn of the overflow behind it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < config.steps:
+            block = min(chunk, config.steps - step)
+            xi = sampler(noise_rng, block)
+            log_u = np.log(accept_rng.random(block)).tolist()
+            if gaussian is not None:
+                s_xi, a_xi, q_xi = gaussian.innovation_terms(xi)
                 if carried:
-                    s_w = contract * s_d + beta * s_xi[i]
-                    q_w = cc * q_d + cb2 * float(a_xi[i].dot(g_d)) + bb * q_xi[i]
-                    pot_prop -= -s_w + 0.5 * q_w + const
-                if not math.isfinite(pot_prop):
-                    nonfinite += 1
-                    ends = accepting
-                elif log_u[i] < pot_state - pot_prop:
-                    pot_state = pot_prop
-                    state_probe = probe_window[i - lo]
-                    taken.append(i - lo)
-                    accepted += 1
-                    if carried:
-                        s_d, q_d = s_w, q_w
-                        g_d = contract * g_d + beta * gamma_apply(ref, a_xi[i])
-                    ends = ends_on_accept
-                else:
-                    ends = accepting
-                if step % thin == 0:
-                    records += step, state_probe, accepted
-                if ends:
-                    break  # the rest of the window was built on the other outcome
-            if taken:
-                # held copies, so that no state keeps the window's array alive
-                state = held.hold(proposals, taken, first_step)
-            lo = i + 1
-            if independent:
-                continue
-            if not ends:  # every row went as the window assumed
+                    s_xi, q_xi = s_xi.tolist(), q_xi.tolist()
+            lo = 0
+            while lo < block:
+                hi = min(lo + (ahead if accepting else window), block)
+                # the innovation part first, the state's added in place: one array of
+                # the window's size is made, not two
+                proposals = beta * xi[lo:hi]
                 if accepting:
-                    ahead = min(2 * ahead, chunk)
+                    _propose_in_turn(proposals, state, mean, contract)
                 else:
-                    window = min(2 * window, chunk)
-            elif accepting:
-                # a reject ends the run of accepts; it is the first of a run of
-                # rejects, as a one-row window that assumes rejects would be
-                ahead = max(1, ahead // 2)
-                window = min(2, chunk)
-                accepting = False
-            else:
-                accepting = True
-        proposals = None  # the block's last window goes before the next block is drawn
+                    # each row is a proposal from the state, as if the rows before it
+                    # were rejected
+                    proposals += mean + contract * (state - mean)
+                pot_window = np.asarray(potential(proposals), dtype=float)
+                calls += 1
+                rows_scored += hi - lo
+                if gaussian is not None and independent:
+                    pot_window = pot_window - (-s_xi + 0.5 * q_xi + gaussian.const)
+                pot_window = pot_window.tolist()
+                probe_window = proposals[:, probe_index].tolist()
+                taken: list[int] = []  # accepted rows of the window
+                first_step = step + 1  # the step that row 0 of the window is proposed at
+                # the outcome the window was not built on ends it; nothing ends a
+                # window at beta = 1
+                ends_on_accept = not (independent or accepting)
+                for i in range(lo, hi):
+                    step += 1
+                    pot_prop = pot_window[i - lo]
+                    if carried:
+                        s_w = contract * s_d + beta * s_xi[i]
+                        q_w = cc * q_d + cb2 * float(a_xi[i].dot(g_d)) + bb * q_xi[i]
+                        pot_prop -= -s_w + 0.5 * q_w + const
+                    if not math.isfinite(pot_prop):
+                        nonfinite += 1
+                        ends = accepting
+                    elif log_u[i] < pot_state - pot_prop:
+                        pot_state = pot_prop
+                        state_probe = probe_window[i - lo]
+                        taken.append(i - lo)
+                        accepted += 1
+                        if carried:
+                            s_d, q_d = s_w, q_w
+                            g_d = contract * g_d + beta * gamma_apply(ref, a_xi[i])
+                        ends = ends_on_accept
+                    else:
+                        ends = accepting
+                    if step % thin == 0:
+                        records += step, state_probe, accepted
+                    if ends:
+                        break  # the rest of the window was built on the other outcome
+                if taken:
+                    # held copies, so that no state keeps the window's array alive
+                    state = held.hold(proposals, taken, first_step)
+                lo = i + 1
+                if independent:
+                    continue
+                if not ends:  # every row went as the window assumed
+                    if accepting:
+                        ahead = min(2 * ahead, chunk)
+                    else:
+                        window = min(2 * window, chunk)
+                elif accepting:
+                    # a reject ends the run of accepts; it is the first of a run of
+                    # rejects, as a one-row window that assumes rejects would be
+                    ahead = max(1, ahead // 2)
+                    window = min(2, chunk)
+                    accepting = False
+                else:
+                    accepting = True
+            proposals = None  # the block's last window goes before the next block is drawn
     held.flush(config.steps + 1)
 
     count = config.steps - burn

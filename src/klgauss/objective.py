@@ -21,6 +21,7 @@ batch and importance reweighting toward a perturbed covariance (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "reduced_discrepancy",
     "estimate_dkl",
     "estimate_gradients",
+    "uniform_weights",
     "scalar_sigma_opt",
     "scalar_dkl_analytic",
     "scalar_acceptance_asymptote",
@@ -96,13 +98,24 @@ def _discrepancy(spec: GaussianSpec, problem, u: np.ndarray):
     return problem.phi(u + spec.mean) - 0.5 * quad, quad
 
 
-def _normalized_log_weights(spec: GaussianSpec, base: GaussianSpec | None,
-                            batch: np.ndarray) -> np.ndarray:
+def uniform_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log weights and weights of a batch of ``size`` equally weighted rows.
+
+    They depend only on the batch size, so a caller that estimates on many
+    batches of one size builds them once and passes them on.
+    """
+    logw = np.full(size, -np.log(size))
+    return logw, np.exp(logw)
+
+
+def _normalized_weights(spec: GaussianSpec, base: GaussianSpec | None,
+                        batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if base is None or base.cov is spec.cov:
-        return np.full(batch.shape[0], -np.log(batch.shape[0]))
+        return uniform_weights(batch.shape[0])
     logw = log_density_ratio_centered(spec, base, batch)
     logw = logw - logw.max()
-    return logw - np.log(np.exp(logw).sum())
+    logw = logw - np.log(np.exp(logw).sum())
+    return logw, np.exp(logw)
 
 
 def estimate_dkl(
@@ -130,25 +143,33 @@ def estimate_dkl(
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
     delta0, quad = _discrepancy(spec, problem, batch)
     shift = spec.ref.precision_apply(spec.mean - spec.ref.mean0)
-    return _kl_estimate(spec, _normalized_log_weights(spec, base, batch), delta0, quad, shift)
+    return _kl_estimate(spec, _normalized_weights(spec, base, batch), delta0, quad, shift)
 
 
-def _kl_estimate(spec: GaussianSpec, logw: np.ndarray, delta0: np.ndarray,
-                 quad: np.ndarray, shift: np.ndarray) -> KLEstimate:
-    """The divergence terms from log weights, reduced discrepancies, ``<u, Gamma u>``
-    and the mean's shift ``C0^{-1}(m - m0)``."""
-    w = np.exp(logw)
+def _kl_estimate(spec: GaussianSpec, weights: tuple[np.ndarray, np.ndarray],
+                 delta0: np.ndarray, quad: np.ndarray, shift: np.ndarray) -> KLEstimate:
+    """The divergence terms from the log weights and weights, reduced
+    discrepancies, ``<u, Gamma u>`` and the mean's shift ``C0^{-1}(m - m0)``.
+
+    ``np.log`` and ``np.hypot`` stay on the two scalars they take: they round
+    differently from ``math``'s in the last bit, and the trace keeps every bit.
+    """
+    logw, w = weights
+    size = len(delta0)
     disc = float(w @ delta0)
-    se_disc = float(np.sqrt(np.sum(w**2 * (delta0 - disc) ** 2)))
+    spread = delta0 - disc
+    se_disc = math.sqrt(float((w * w * (spread * spread)).sum()))
 
     shift_term = 0.5 * float(spec.ref.inner(spec.mean - spec.ref.mean0, shift))
 
     g = 0.5 * quad + logw
     gmax = float(g.max())
     r = np.exp(g - gmax)
-    log_partition = gmax + float(np.log(r.sum()))
+    total = float(r.sum())
+    log_partition = gmax + float(np.log(total))
     # delta-method spread of log sum exp(g): relative spread of the summands
-    se_lp = float(np.sqrt(np.sum((r / r.sum() - 1.0 / len(r)) ** 2)))
+    rel = r / total - 1.0 / size
+    se_lp = math.sqrt(float((rel * rel).sum()))
 
     return KLEstimate(
         value=disc + shift_term + log_partition,
@@ -157,12 +178,13 @@ def _kl_estimate(spec: GaussianSpec, logw: np.ndarray, delta0: np.ndarray,
         log_partition=log_partition,
         stderr=float(np.hypot(se_disc, se_lp)),
         shift=gmax,
-        n_samples=len(delta0),
+        n_samples=size,
     )
 
 
 def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray,
-                       coords: np.ndarray | None = None) -> GradientPair:
+                       coords: np.ndarray | None = None,
+                       weights: tuple[np.ndarray, np.ndarray] | None = None) -> GradientPair:
     """Mean and covariance gradients from one shared centred batch.
 
     The mean gradient is ``mean(grad_phi(u + m)) + C0^{-1}(m - m0)`` as a
@@ -172,32 +194,47 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray,
     same frozen batch (the covariance one under ``base=`` reweighting),
     whose value on this batch comes along from the same ``phi`` evaluation.
 
+    The target is evaluated once, on the shifted batch: by the problem's
+    ``phi_and_grad`` if it has one, else by its ``phi`` and ``grad_phi``.
     ``<u, Gamma u>`` and the parameter derivative both read the batch's
     Gamma coordinates (see ``_Family.draw``); ``coords`` passes those the
     sampler returned, otherwise they are computed from the batch.
+    ``weights`` passes :func:`uniform_weights` of the batch size, built here
+    when omitted. Means are sums over the batch size: ``np.mean`` gives the
+    same bits through several Python-level calls.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    batch = np.asarray(batch, dtype=float)
+    if batch.ndim < 2:
+        batch = batch.reshape(1, -1)
+    size = batch.shape[0]
     cov, ref = spec.cov, spec.ref
     if coords is None:
         coords = cov.gamma_coords(ref, batch)
+    if weights is None:
+        weights = uniform_weights(size)
+    fields = batch + spec.mean
+    fused = getattr(problem, "phi_and_grad", None)
+    if fused is None:
+        phi, grad = problem.phi(fields), problem.grad_phi(fields)
+    else:
+        phi, grad = fused(fields)
     shift = ref.precision_apply(spec.mean - ref.mean0)
-    m_field = problem.grad_phi(batch + spec.mean).mean(axis=0) + shift
+    m_field = grad.sum(axis=0) / size + shift
 
     quad = cov.quad_coords(ref, coords)
-    delta0 = problem.phi(batch + spec.mean) - 0.5 * quad
+    delta0 = phi - 0.5 * quad
     dtheta = cov.quad_derivative(ref, coords)
-    centered = delta0 - delta0.mean()
+    centered = delta0 - delta0.sum() / size
     if dtheta.ndim == 1:
-        cov_term = float(np.mean(centered * (dtheta - dtheta.mean())))
+        cov_term = float((centered * (dtheta - dtheta.sum() / size)).sum() / size)
     else:
-        dc = dtheta - dtheta.mean(axis=0)
-        cov_term = np.tensordot(centered, dc, axes=(0, 0)) / batch.shape[0]
+        dc = dtheta - dtheta.sum(axis=0) / size
+        cov_term = np.tensordot(centered, dc, axes=(0, 0)) / size
 
     return GradientPair(
         mean=m_field,
         cov=cov_term,
-        estimate=_kl_estimate(spec, _normalized_log_weights(spec, None, batch), delta0, quad,
-                              shift),
+        estimate=_kl_estimate(spec, weights, delta0, quad, shift),
     )
 
 

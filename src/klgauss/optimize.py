@@ -9,24 +9,33 @@ box; the covariance family projects its own update (a box clip, or an
 eigenvalue clamp for the symmetric finite-rank factor) and returns the
 family at the projected value.
 
-Each quantity of an iteration is computed once and handed on. The draw
-returns the batch's Gamma coordinates with the batch, and both the
+Each quantity of an iteration is computed once and handed on. The target
+is evaluated once, potential and gradient together, on the shifted batch.
+The draw returns the batch's Gamma coordinates with the batch, and both the
 quadratic form and its parameter derivative read them; the mean's shift
 ``C0^{-1}(m - m0)`` serves the mean gradient and the divergence estimate;
 the finite-rank clamp's eigenpairs become the new family's. On the
 periodic grid an iteration therefore transforms the batch once (its
-synthesis) and eigendecomposes the factor once (its clamp).
+synthesis) and eigendecomposes the factor once (its clamp). The batch's
+uniform weights depend only on the batch size and are built once per fit.
+
+On small batches an iteration is mostly Python bookkeeping, so the loop and
+the functions it calls use array methods (``x.sum()``, ``x.any()``) and
+``math`` on plain floats rather than numpy's module-level wrappers
+(``np.mean``, ``np.sum``, ``np.all``, ``np.clip``), each of which costs
+several Python calls per use. They give the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NonFiniteObjectiveError
 from .gaussians import GaussianSpec, descent_direction_cov, project_box
-from .objective import estimate_gradients
+from .objective import estimate_gradients, uniform_weights
 
 __all__ = [
     "StepSchedule",
@@ -98,7 +107,7 @@ class RMTrace:
         self.step_sizes.append(a_n)
         self.dkl.append(est.value)
         self.dkl_stderr.append(est.stderr)
-        self.mean_norm.append(float(np.sqrt(spec.ref.inner(spec.mean, spec.mean))))
+        self.mean_norm.append(math.sqrt(float(spec.ref.inner(spec.mean, spec.mean))))
         self.cov_summary.append(spec.cov.summary)
         self.proj_active.append(proj)
 
@@ -132,24 +141,28 @@ def rm_minimize(
     trace = RMTrace()
     m_lo, m_hi = config.mean_bounds
     c_lo, c_hi = config.cov_bounds
+    weights = uniform_weights(config.batch_size)
     trace.snapshot(0, spec)
-    for n in range(1, config.iterations + 1):
-        batch, coords = spec.cov.draw(spec.ref, rng, config.batch_size)
-        grads = estimate_gradients(spec, problem, batch, coords)
-        if not np.isfinite(grads.estimate.value):
-            raise _nonfinite("divergence estimate", n, trace)
-        a_n = config.schedule.step_at(n)
+    # a non-finite estimate or update raises below: numpy need not warn of
+    # the overflow behind it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, config.iterations + 1):
+            batch, coords = spec.cov.draw(spec.ref, rng, config.batch_size)
+            grads = estimate_gradients(spec, problem, batch, coords, weights)
+            if not math.isfinite(grads.estimate.value):
+                raise _nonfinite("divergence estimate", n, trace)
+            a_n = config.schedule.step_at(n)
 
-        raw_mean = spec.mean - a_n * spec.ref.apply_cov(grads.mean)
-        raw_cov = spec.cov.theta - a_n * np.asarray(descent_direction_cov(spec, grads.cov))
-        if not (np.all(np.isfinite(raw_mean)) and np.all(np.isfinite(raw_cov))):
-            raise _nonfinite("parameter update", n, trace)
-        new_mean, mean_active = project_box(raw_mean, m_lo, m_hi)
-        new_cov, cov_active = spec.cov.project(raw_cov, c_lo, c_hi)
+            raw_mean = spec.mean - a_n * spec.ref.apply_cov(grads.mean)
+            raw_cov = spec.cov.theta - a_n * np.asarray(descent_direction_cov(spec, grads.cov))
+            if not (np.isfinite(raw_mean).all() and np.isfinite(raw_cov).all()):
+                raise _nonfinite("parameter update", n, trace)
+            new_mean, mean_active = project_box(raw_mean, m_lo, m_hi)
+            new_cov, cov_active = spec.cov.project(raw_cov, c_lo, c_hi)
 
-        proj = (1 if mean_active else 0) | (2 if cov_active else 0)
-        trace.record(n, a_n, grads.estimate, spec, proj)
-        spec = replace(spec, mean=new_mean, cov=new_cov)
-        if n % config.snapshot_every == 0 or n == config.iterations:
-            trace.snapshot(n, spec)
+            proj = (1 if mean_active else 0) | (2 if cov_active else 0)
+            trace.record(n, a_n, grads.estimate, spec, proj)
+            spec = replace(spec, mean=new_mean, cov=new_cov)
+            if n % config.snapshot_every == 0 or n == config.iterations:
+                trace.snapshot(n, spec)
     return spec, trace

@@ -91,7 +91,7 @@ class ScalarReference:
         self.mean0 = np.zeros(1)
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-        return np.sum(a * b, axis=-1)
+        return (a * b).sum(axis=-1)
 
     def sample_centered(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_normal((size, 1))
@@ -157,7 +157,7 @@ class PeriodicReference:
         return self.h
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-        return self.h * np.sum(a * b, axis=-1)
+        return self.h * (a * b).sum(axis=-1)
 
     def coeffs(self, u: np.ndarray) -> np.ndarray:
         """Coefficients of ``u`` in the orthonormal basis, modes 1..n_modes.
@@ -252,7 +252,7 @@ class BridgeReference:
         return self.h
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-        return self.h * np.sum(a * b, axis=-1)
+        return self.h * (a * b).sum(axis=-1)
 
     def sample_centered(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return sample_tridiagonal_precision(self.h * self._stencil, rng, size)

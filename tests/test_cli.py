@@ -206,6 +206,10 @@ def test_overflowing_in_range_config_exits_3(tmp_path, capsys, sigma):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    manifest = json.loads((tmp_path / "out" / "manifest_compare.json").read_text())
+    assert f"numerical failure: {manifest['error']}" in err
+    assert manifest["outputs"] == {}  # the first iteration fails, before any trace row
 
 
 @pytest.mark.parametrize("spec", [
@@ -410,6 +414,10 @@ def test_sample_with_huge_spec_mean_is_a_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: potential is not finite at the proposal mean" in err
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    manifest = json.loads((out / "manifest_sample.json").read_text())
+    assert manifest["error"] == "potential is not finite at the proposal mean"
+    assert manifest["outputs"] == {}
 
 
 def test_sample_reports_potential_work(tmp_path, capsys):

@@ -171,6 +171,30 @@ def test_rm_evaluates_phi_and_grad_once_per_iteration():
     assert problem.calls == {"phi": 25, "grad_phi": 25}
 
 
+class _FusedCountingProblem(_CountingProblem):
+    """The counting target with a fused potential-and-gradient call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls["phi_and_grad"] = 0
+
+    def phi_and_grad(self, fields):
+        self.calls["phi_and_grad"] += 1
+        return self.inner.phi_and_grad(fields)
+
+
+def test_rm_evaluates_the_target_once_per_iteration():
+    problem = _FusedCountingProblem()
+    spec0 = GaussianSpec(np.array([0.2]), ScalarVariance(0.5), ScalarReference())
+    config = small_config(iterations=25)
+    fused, _ = rm_minimize(spec0, problem, config, np.random.default_rng(4))
+    assert problem.calls == {"phi": 0, "grad_phi": 0, "phi_and_grad": 25}
+    # the same fit as through the separate calls
+    apart, _ = rm_minimize(spec0, _CountingProblem(), config, np.random.default_rng(4))
+    assert np.array_equal(fused.mean, apart.mean)
+    assert fused.cov.sigma == apart.cov.sigma
+
+
 def test_rm_finite_rank_respects_spectral_bounds():
     n, rank = 16, 2
     ref = PeriodicReference(n, 1.0)

@@ -232,3 +232,34 @@ def test_diffusion_gradient_closed_form():
     prob = DiffusionProblem(0.1, 8)
     w = np.array([[0.2, -0.4, 0.8, 1.1, 0.0, 0.5, -1.0, 0.3]])
     assert np.allclose(prob.grad_phi(w), w * (w**2 - 1.0) / 0.1**2)
+
+
+@pytest.mark.parametrize("kind", ["darcy", "diffusion", "scalar"])
+def test_phi_and_grad_is_phi_and_grad_phi(kind):
+    # the fit reads both from one fused call, the chains read phi alone:
+    # they must agree bit for bit, whatever the batch
+    rng = np.random.default_rng(22)
+    if kind == "darcy":
+        prob, dim = darcy_branches(128, rng.standard_normal(4)), 128
+    elif kind == "diffusion":
+        prob, dim = DiffusionProblem(0.05, 99), 99
+    else:
+        prob, dim = ScalarDoubleWell(0.01), 1
+    for size in (1, 2, 7, 100):
+        u = rng.standard_normal((size, dim))
+        phi, grad = prob.phi_and_grad(u)
+        assert np.array_equal(phi, prob.phi(u))
+        assert np.array_equal(grad, prob.grad_phi(u))
+        assert phi.shape == (size,) and grad.shape == (size, dim)
+
+
+def test_scalar_gradient_matches_central_differences():
+    eps = 0.01
+    prob = ScalarDoubleWell(eps)
+    x = np.random.default_rng(23).normal(0.0, 0.3, (50, 1))
+    eta = 1e-6
+    fd = (prob.phi(x + eta) - prob.phi(x - eta)) / (2 * eta)
+    _, grad = prob.phi_and_grad(x)
+    assert np.allclose(grad[:, 0], fd, rtol=1e-7, atol=1e-7)
+    # and the closed form V'(x)/eps - x
+    assert np.allclose(grad, (4.0 * x**3 + x) / eps - x, rtol=1e-14, atol=0)
