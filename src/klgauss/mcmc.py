@@ -34,14 +34,26 @@ its window. Neither kind reaches past the current innovation block, so the
 block's element budget still bounds memory. A ``beta = 0.6`` Darcy chain
 that accepts 7.5% of its proposals makes about one call per 3.6 steps; one
 that accepts 85% makes one per 2.7 steps, against one per step when every
-accept ended its window, and scores about 1.6 rows per step. At ``beta =
-1`` proposals do not depend on the state at all: the window is the whole
-block and nothing ends it.
+accept ended its window, and scores about 1.6 rows per step.
 
-An accept costs the scan no array work: it notes the accepted row and the
-step at which the new run of equal states starts. After each window the
-accepted rows are copied, with one fancy index, into a fixed buffer of
-held states, so that no state keeps its window's array alive. Whenever the
+At ``beta = 1`` proposals do not depend on the state at all, so a whole
+innovation block is scored with one call and decided before its first
+step is taken: its rows, potentials and log uniforms are all known. One
+array comparison, ``log_u[r] < pot[r - 1] - pot[r]``, decides each row
+that follows an accept; the rows that fail it end the runs of accepts, and
+a search of those failures finds each run's end. Only the rows after a
+reject are compared one at a time, against the potential held, until the
+next accept. Where more than one row in eight fails the comparison, runs
+of accepts are too short for the search to pay, and every row is compared
+in turn. The accepts, the held states, the probes and the counts then
+take a few array operations per block, so the Python work of an
+accept-heavy block grows with its rejects, not with its steps.
+
+Below ``beta = 1`` an accept costs the scan no array work: it notes the
+accepted row and the step at which the new run of equal states starts.
+After each window the accepted rows are copied, with one fancy index, into
+a fixed buffer of held states, so that no state keeps its window's array
+alive; a ``beta = 1`` block copies its accepts the same way. Whenever the
 buffer is full, and once at the end, the node moments take the held runs
 with one weighted product each, the weights being the runs' post-burn
 lengths. The buffer follows an element budget of its own, so the sums do
@@ -54,13 +66,14 @@ potential on a proposal. The proposal's offset from the fit's mean,
 innovation block, terms of ``d``, carried with the state and replaced from
 the proposal's own on accept, and the cross term ``<xi, Gamma d>``, one
 short dot product per step. At ``beta = 1`` the terms of ``d`` drop out and
-the Gaussian part is subtracted from the whole window at once. Only the
+the Gaussian part is subtracted from the whole block at once. Only the
 target's ``phi`` runs on each proposal.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -165,7 +178,8 @@ class _HeldStates:
         self.node_sum = np.zeros(dim)
         self.node_sq = np.zeros(dim)
 
-    def hold(self, source: np.ndarray, taken: list[int], first_step: int) -> np.ndarray:
+    def hold(self, source: np.ndarray, taken: list[int] | np.ndarray,
+             first_step: int) -> np.ndarray:
         """Hold rows ``taken`` of ``source``; row ``r`` was proposed at step ``first_step + r``.
 
         An accepted row's run starts at the step it was proposed at. Returns
@@ -214,6 +228,58 @@ def _propose_in_turn(rows: np.ndarray, state: np.ndarray, mean: np.ndarray,
         prev = row
 
 
+def _scores(potential: Callable[[np.ndarray], np.ndarray], fields: np.ndarray) -> np.ndarray:
+    """The potential of each row of ``fields``, checked to be one value per row."""
+    pot = np.asarray(potential(fields), dtype=float)
+    if pot.shape != (len(fields),):
+        raise ValueError(f"the potential returned shape {pot.shape} for fields of shape "
+                         f"{fields.shape}; it must return shape {(len(fields),)}")
+    return pot
+
+
+def _independent_accepts(pot: np.ndarray, log_u: np.ndarray, pot_state: float) -> np.ndarray:
+    """The rows a ``beta = 1`` block accepts, in order, as an index array.
+
+    ``pot`` holds the rows' acceptance potentials, with ``+inf`` for the
+    non-finite ones so that no comparison accepts them, ``log_u`` their log
+    uniforms and ``pot_state`` the potential held before row 0. The module
+    docstring gives the method. Every comparison is the step-by-step chain's
+    own ``log_u < held - pot``; ``pot + log_u < held`` rounds differently.
+    """
+    rows = len(pot)
+    # the rows r >= 1 that are rejected if row r - 1 is accepted
+    fails = np.flatnonzero(~(log_u[1:] < pot[:-1] - pot[1:])) + 1
+    if 8 * fails.size > rows:  # runs of accepts too short for the search to pay
+        held, taken = pot_state, []
+        pot, log_u = pot.tolist(), log_u.tolist()
+        for i in range(rows):
+            if log_u[i] < held - pot[i]:
+                held = pot[i]
+                taken.append(i)
+        return np.array(taken, dtype=np.intp)
+    fails = fails.tolist() + [rows]
+    starts, ends = [], []  # the runs of accepts
+    held, i, j = pot_state, 0, 0
+    while True:
+        for i in range(i, rows):  # the block's first row, or the rows after a reject
+            if log_u[i] < held - pot[i]:
+                break
+        else:
+            break
+        j = bisect_left(fails, i + 1, j)  # the run from the accept on row i ends there
+        end = fails[j]
+        starts.append(i)
+        ends.append(end)
+        if end == rows:
+            break
+        held, i = pot[end - 1], end + 1
+    # +1 where a run starts, -1 where it ends: the running sum marks the accepts
+    edges = np.zeros(rows + 1, dtype=np.int8)
+    edges[starts] = 1
+    edges[ends] = -1
+    return np.flatnonzero(np.cumsum(edges[:-1]))
+
+
 def run_chain(
     potential: Callable[[np.ndarray], np.ndarray],
     mean: np.ndarray,
@@ -224,8 +290,10 @@ def run_chain(
 ) -> ChainDiag:
     """Run a pCN chain started at the proposal mean.
 
-    ``potential`` must map a batch of fields ``(B, dim)`` to ``(B,)``;
-    ``sampler(rng, size)`` must return centred proposal innovations. A
+    ``potential`` must map a batch of fields ``(B, dim)`` to ``(B,)``; any
+    other shape raises ``ValueError`` rather than being broadcast into the
+    decisions. ``sampler(rng, size)`` must return centred proposal
+    innovations ``(size, dim)``. A
     proposal whose potential is not finite is rejected and counted; a
     potential that is not finite at ``mean`` raises
     :class:`~klgauss.errors.NonFiniteObjectiveError`.
@@ -247,7 +315,7 @@ def run_chain(
 
     state = mean.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start raises below
-        pot_state = float(np.asarray(potential(state[None]))[0])
+        pot_state = float(_scores(potential, state[None])[0])
     if gaussian is not None:
         pot_state -= gaussian.const  # the Gaussian part at its own mean
     if not np.isfinite(pot_state):
@@ -270,8 +338,7 @@ def run_chain(
         # <d, shift>, <d, Gamma d> and Gamma d (in Gamma's coordinates), d = state - mean
         s_d = q_d = 0.0
         g_d = np.zeros_like(cov.gamma_coords(ref, mean))
-    # at beta = 1 the window is the whole block and nothing ends it
-    window = chunk if independent else 1  # rows of the next window that assumes rejects
+    window = 1  # rows of the next window that assumes rejects
     ahead = 1  # rows of the next window that assumes accepts
     accepting = False  # whether the next window assumes accepts
     calls = rows_scored = 1  # the potential at the start
@@ -280,13 +347,44 @@ def run_chain(
     # numpy need not warn of the overflow behind it
     with np.errstate(over="ignore", invalid="ignore"):
         while step < config.steps:
+            proposals = None  # the last block's proposals go before the next block is drawn
             block = min(chunk, config.steps - step)
             xi = sampler(noise_rng, block)
-            log_u = np.log(accept_rng.random(block)).tolist()
+            log_u = np.log(accept_rng.random(block))
             if gaussian is not None:
                 s_xi, a_xi, q_xi = gaussian.innovation_terms(xi)
-                if carried:
-                    s_xi, q_xi = s_xi.tolist(), q_xi.tolist()
+            if independent:
+                # the whole block is one window, scored with one call and decided
+                # with array comparisons
+                proposals = beta * xi
+                proposals += mean + contract * (state - mean)
+                pot = _scores(potential, proposals)
+                calls += 1
+                rows_scored += block
+                if gaussian is not None:
+                    pot = pot - (-s_xi + 0.5 * q_xi + gaussian.const)
+                finite = np.isfinite(pot)
+                nonfinite += block - int(np.count_nonzero(finite))
+                pot = np.where(finite, pot, np.inf)  # never accepted
+                accepts = _independent_accepts(pot, log_u, pot_state)
+                first_step = step + 1  # the step that row 0 is proposed at
+                # the probe after each accept, led by the one held before the block
+                probes = np.concatenate(([state_probe], proposals[accepts, probe_index]))
+                if accepts.size:
+                    # held copies, so that no state keeps the block's array alive
+                    state = held.hold(proposals, accepts, first_step)
+                    pot_state, state_probe = float(pot[accepts[-1]]), float(probes[-1])
+                probe_steps = np.arange(-(-first_step // thin) * thin, step + block + 1, thin)
+                # the accepts up to each probed step
+                upto = np.searchsorted(accepts, probe_steps - first_step, side="right")
+                records += np.column_stack(
+                    (probe_steps, probes[upto], accepted + upto)).ravel().tolist()
+                accepted += accepts.size
+                step += block
+                continue
+            log_u = log_u.tolist()
+            if carried:
+                s_xi, q_xi = s_xi.tolist(), q_xi.tolist()
             lo = 0
             while lo < block:
                 hi = min(lo + (ahead if accepting else window), block)
@@ -299,18 +397,12 @@ def run_chain(
                     # each row is a proposal from the state, as if the rows before it
                     # were rejected
                     proposals += mean + contract * (state - mean)
-                pot_window = np.asarray(potential(proposals), dtype=float)
+                pot_window = _scores(potential, proposals).tolist()
                 calls += 1
                 rows_scored += hi - lo
-                if gaussian is not None and independent:
-                    pot_window = pot_window - (-s_xi + 0.5 * q_xi + gaussian.const)
-                pot_window = pot_window.tolist()
                 probe_window = proposals[:, probe_index].tolist()
                 taken: list[int] = []  # accepted rows of the window
                 first_step = step + 1  # the step that row 0 of the window is proposed at
-                # the outcome the window was not built on ends it; nothing ends a
-                # window at beta = 1
-                ends_on_accept = not (independent or accepting)
                 for i in range(lo, hi):
                     step += 1
                     pot_prop = pot_window[i - lo]
@@ -329,7 +421,7 @@ def run_chain(
                         if carried:
                             s_d, q_d = s_w, q_w
                             g_d = contract * g_d + beta * gamma_apply(ref, a_xi[i])
-                        ends = ends_on_accept
+                        ends = not accepting  # the outcome the window was not built on
                     else:
                         ends = accepting
                     if step % thin == 0:
@@ -340,8 +432,6 @@ def run_chain(
                     # held copies, so that no state keeps the window's array alive
                     state = held.hold(proposals, taken, first_step)
                 lo = i + 1
-                if independent:
-                    continue
                 if not ends:  # every row went as the window assumed
                     if accepting:
                         ahead = min(2 * ahead, chunk)
@@ -355,7 +445,6 @@ def run_chain(
                     accepting = False
                 else:
                     accepting = True
-            proposals = None  # the block's last window goes before the next block is drawn
     held.flush(config.steps + 1)
 
     count = config.steps - burn

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from klgauss import (
     BridgeReference,
@@ -549,6 +551,208 @@ def test_chain_batches_accept_runs_within_blocks(monkeypatch):
     assert max(rows for rows, _ in window_calls) > 4
     assert diag.potential_calls == len(calls)
     assert diag.potential_rows == 1 + sum(rows for rows, _ in window_calls)
+
+
+def banded_potential(scale, bad_frac, bad_value):
+    """``scale |u|^2``, with ``bad_value`` on a pseudo-random ``bad_frac`` of the rows.
+
+    Whether a row is bad depends on the row alone, so the oracle's one-row
+    calls see the values a batch call does. A row whose first coordinate is
+    0.5 is bad only if ``bad_frac`` exceeds 0.5.
+    """
+    def pot(fields):
+        out = scale * np.sum(fields**2, axis=-1)
+        return np.where((fields[:, 0] * 7919.0) % 1.0 < bad_frac, bad_value, out)
+
+    return pot
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 4), steps=st.integers(1, 400), thin=st.integers(1, 25),
+       burn_frac=st.floats(0.0, 0.9),
+       scale=st.just(0.0) | st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+       bad_frac=st.floats(0.0, 0.2), bad_value=st.sampled_from([np.inf, -np.inf, np.nan]),
+       block_rows=st.integers(1, 80), held_rows=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+# an accept on a block's last row, then a reject on the next block's first row
+@example(dim=1, steps=300, thin=1, burn_frac=0.1, scale=1.0, bad_frac=0.0,
+         bad_value=np.inf, block_rows=3, held_rows=2, seed=1)
+# blocks with no accepts between blocks with some, and non-finite rows
+@example(dim=2, steps=300, thin=7, burn_frac=0.3, scale=30.0, bad_frac=0.1,
+         bad_value=np.inf, block_rows=5, held_rows=3, seed=2)
+# every row accepted
+@example(dim=3, steps=200, thin=3, burn_frac=0.5, scale=0.0, bad_frac=0.0,
+         bad_value=np.nan, block_rows=7, held_rows=4, seed=3)
+def test_independent_block_scan_matches_naive_chain(dim, steps, thin, burn_frac, scale,
+                                                    bad_frac, bad_value, block_rows,
+                                                    held_rows, seed):
+    # at beta = 1 each innovation block is decided with array comparisons; every
+    # decision, probe and held state must be the oracle's, bit for bit, whatever
+    # the acceptance, the non-finite rows and the block and held-state sizes.
+    # The budgets are set here, not with monkeypatch: a function-scoped fixture
+    # is not reset between examples.
+    import klgauss.mcmc as mcmc
+
+    args = (banded_potential(scale, bad_frac, bad_value), np.full(dim, 0.5),
+            gaussian_sampler(dim))
+    config = ChainConfig(steps, 1.0, thin=thin, burn_frac=burn_frac)
+    budgets = mcmc._BLOCK_ELEMENTS, mcmc._HELD_ELEMENTS
+    mcmc._BLOCK_ELEMENTS, mcmc._HELD_ELEMENTS = block_rows * dim, held_rows * dim
+    try:
+        got = run_chain(*args, config, np.random.default_rng(seed))
+    finally:
+        mcmc._BLOCK_ELEMENTS, mcmc._HELD_ELEMENTS = budgets
+    want = naive_chain(*args, config, np.random.default_rng(seed))
+    assert got.acceptance_rate == want["acceptance"]
+    assert got.nonfinite_proposals == want["nonfinite"]
+    assert np.array_equal(got.probe_steps, want["probe_steps"])
+    assert np.array_equal(got.probe, want["probe"])
+    assert np.array_equal(got.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(got.final_state, want["final"])
+    assert got.final_potential == args[0](got.final_state[None])[0]
+    assert np.allclose(got.node_mean, want["node_mean"])
+    assert np.allclose(got.node_var, want["node_var"], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+@pytest.mark.parametrize("family", ["scalar-variance", "finite-rank"])
+def test_informed_independent_chain_matches_naive_chain(family, seed, monkeypatch):
+    # the informed chain at beta = 1 subtracts the Gaussian part of each block
+    # at once and decides the block with array comparisons; 37-row blocks and
+    # a held-state budget of five rows put run ends and moment updates at and
+    # across block ends
+    import klgauss.mcmc as mcmc
+
+    problem, spec = informed_case(family)
+    dim = spec.mean.size
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 37 * dim)
+    monkeypatch.setattr(mcmc, "_HELD_ELEMENTS", 5 * dim)
+    config = ChainConfig(steps=1500, beta=1.0, thin=7, burn_frac=0.1)
+    got = fit_chain(problem, spec, config, np.random.default_rng(seed))
+    want = naive_chain(residual_potential(problem, spec), spec.mean,
+                       partial(sample_centered, spec), config, np.random.default_rng(seed))
+    assert 0.0 < got.acceptance_rate == want["acceptance"] < 1.0
+    assert got.nonfinite_proposals == want["nonfinite"]
+    assert np.array_equal(got.probe_steps, want["probe_steps"])
+    assert np.array_equal(got.probe, want["probe"])
+    assert np.array_equal(got.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(got.final_state, want["final"])
+    assert np.allclose(got.node_mean, want["node_mean"])
+    assert np.allclose(got.node_var, want["node_var"], atol=1e-12)
+    oracle = residual_potential(problem, spec)(got.final_state[None])[0]
+    assert got.final_potential == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+def knife_edge_potentials(steps, seed, mix):
+    """Potentials for a ``beta = 1`` chain whose decisions sit a few ulps from the threshold.
+
+    Returns the start's potential followed by one per step, and the number of
+    steps that ``pot + log_u < held`` decides otherwise than the chain's own
+    ``log_u < held - pot``. The log uniforms are the ones ``run_chain`` draws
+    from ``default_rng(seed)``. Each step is a sure accept, a sure reject or,
+    in proportion ``mix[2]``, within three ulps of ``held - log_u``.
+    """
+    log_u = np.log(np.random.default_rng(seed).spawn(2)[1].random(steps)).tolist()
+    rng = np.random.default_rng(seed + 1)
+    kinds = rng.choice(3, size=steps, p=mix).tolist()
+    held, values, splits = 0.0, [0.0], 0
+    for u, kind in zip(log_u, kinds):
+        if kind == 0:
+            pot = held - 1.0
+        elif kind == 1:
+            pot = held + 50.0
+        else:
+            edge = held - u
+            pot = float(edge + int(rng.integers(-3, 4)) * np.spacing(edge))
+        accept = u < held - pot
+        splits += accept != (pot + u < held)
+        held = pot if accept else held
+        values.append(pot)
+    return values, splits
+
+
+def replayed(values):
+    """A potential that returns ``values`` in order, one per row scored."""
+    pos = [0]
+
+    def pot(fields):
+        out = np.asarray(values[pos[0]: pos[0] + len(fields)])
+        pos[0] += len(fields)
+        return out
+
+    return pot
+
+
+@pytest.mark.parametrize("mix", [(0.85, 0.05, 0.1), (0.3, 0.4, 0.3)],
+                         ids=["accept-heavy", "reject-heavy"])
+def test_independent_block_scan_rounds_as_the_step_by_step_chain(mix, monkeypatch):
+    # the comparison must be the step's own log_u < held - pot, in the array
+    # that decides the rows after an accept and in the row-by-row scan after a
+    # reject alike: ``pot + log_u < held`` rounds differently. Accept-heavy
+    # blocks take the search over runs of accepts, reject-heavy ones the scan
+    # of every row.
+    import klgauss.mcmc as mcmc
+
+    steps, seed = 3000, 67
+    values, splits = knife_edge_potentials(steps, seed, mix)
+    assert splits > 10
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", 64)
+    config = ChainConfig(steps, 1.0, thin=1)
+    got = run_chain(replayed(values), np.zeros(1), gaussian_sampler(1), config,
+                    np.random.default_rng(seed))
+    want = naive_chain(replayed(values), np.zeros(1), gaussian_sampler(1), config,
+                       np.random.default_rng(seed))
+    assert got.acceptance_rate == want["acceptance"]
+    assert np.array_equal(got.accepts_cum, want["accepts_cum"])
+    assert np.array_equal(got.probe, want["probe"])
+    assert np.array_equal(got.final_state, want["final"])
+
+
+def test_independent_chain_draws_and_scores_each_block_once(monkeypatch):
+    # at beta = 1 a block is drawn once and scored with one call, whatever its
+    # decisions: two and a half 40-row blocks make three draws and three calls
+    import klgauss.mcmc as mcmc
+
+    dim, block, steps = 2, 40, 100
+    monkeypatch.setattr(mcmc, "_BLOCK_ELEMENTS", block * dim)
+    drawn, scored = [], []
+
+    def sampler(rng, size):
+        drawn.append(size)
+        return rng.standard_normal((size, dim))
+
+    def potential(fields):
+        scored.append(len(fields))
+        return soft_potential(fields)
+
+    diag = run_chain(potential, np.zeros(dim), sampler, ChainConfig(steps, 1.0, thin=10),
+                     np.random.default_rng(61))
+    assert 0.0 < diag.acceptance_rate < 1.0
+    assert drawn == [block, block, steps - 2 * block]
+    assert scored == [1, *drawn]
+    assert diag.potential_calls == len(drawn) + 1
+    assert diag.potential_rows == steps + 1
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.6])
+@pytest.mark.parametrize("wrong", ["column", "scalar", "column-after-start"])
+def test_potential_of_the_wrong_shape_is_refused(wrong, beta):
+    # a (B, 1) potential would broadcast against the (B,) log uniforms into a
+    # matrix of decisions; every call's shape is checked against (B,) instead
+    calls = []
+
+    def potential(fields):
+        calls.append(len(fields))
+        out = soft_potential(fields)
+        if wrong == "scalar":
+            return out.sum()
+        return out[:, None] if wrong == "column" or len(calls) > 1 else out
+
+    config = ChainConfig(steps=50, beta=beta)
+    with pytest.raises(ValueError, match=r"potential returned shape \((\d+, 1)?\)"):
+        run_chain(potential, np.zeros(2), gaussian_sampler(2), config,
+                  np.random.default_rng(0))
+    assert len(calls) == (2 if wrong == "column-after-start" else 1)
 
 
 def test_probe_index_bounds_checked():
