@@ -23,14 +23,11 @@ from .errors import (
 from .gaussians import (
     ConstantPotential,
     FiniteRank,
+    GaussianPotential,
     GaussianSpec,
     ScalarVariance,
     VariablePotential,
-    cov_param_derivative,
-    descent_direction_cov,
-    gamma_quad,
     log_density_ratio_centered,
-    make_gaussian_potential,
     project_box,
     project_spd,
     sample_centered,
@@ -44,7 +41,6 @@ from .mcmc import (
     iact,
     autocovariance,
     reference_chain,
-    residual_potential,
     run_chain,
 )
 from .objective import (
@@ -58,7 +54,6 @@ from .objective import (
     scalar_sigma_opt,
 )
 from .sampling import (
-    require_spd,
     sample_finite_rank,
     sample_ou_bridge,
     sample_tridiagonal_precision,
@@ -96,6 +91,7 @@ __all__ = [
     "DarcyProblem",
     "DiffusionProblem",
     "FiniteRank",
+    "GaussianPotential",
     "GaussianSpec",
     "GradientPair",
     "KLEstimate",
@@ -111,9 +107,7 @@ __all__ = [
     "VariablePotential",
     "acceptance_lower_bound",
     "autocovariance",
-    "cov_param_derivative",
     "darcy_true_field",
-    "descent_direction_cov",
     "dirichlet_precision",
     "estimate_dkl",
     "estimate_gradients",
@@ -121,16 +115,12 @@ __all__ = [
     "fit_chain",
     "fourier_eigenvalues",
     "fourier_mode",
-    "gamma_quad",
     "iact",
     "log_density_ratio_centered",
-    "make_gaussian_potential",
     "project_box",
     "project_spd",
     "reduced_discrepancy",
     "reference_chain",
-    "require_spd",
-    "residual_potential",
     "rm_minimize",
     "run_chain",
     "sample_centered",

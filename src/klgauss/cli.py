@@ -42,6 +42,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -499,15 +500,26 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _read_manifest(path: Path) -> dict | None:
+    """The manifest at ``path`` if it is a JSON object with an ``outputs`` object, else None."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError):  # missing, unreadable or not JSON
+        return None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs"), dict):
+        return None
+    return manifest
+
+
 def _verify_manifest(out: Path, command: str) -> int:
     """Check the files listed in ``manifest_<command>.json`` against their hashes."""
     path = out / f"manifest_{command}.json"
-    if not path.is_file():
-        print(f"error: no manifest at {path}", file=sys.stderr)
+    manifest = _read_manifest(path)
+    if manifest is None:
+        print(f"error: no readable manifest at {path}", file=sys.stderr)
         return 2
-    manifest = json.loads(path.read_text())
     bad = 0
-    for name, digest in sorted(manifest.get("outputs", {}).items()):
+    for name, digest in sorted(manifest["outputs"].items()):
         target = out / name
         if not target.is_file():
             print(f"verify {name}: MISSING")
@@ -520,7 +532,7 @@ def _verify_manifest(out: Path, command: str) -> int:
     if bad:
         print(f"verify: {bad} file(s) failed against {path.name}")
         return 3
-    print(f"verify: all {len(manifest.get('outputs', {}))} files match {path.name}")
+    print(f"verify: all {len(manifest['outputs'])} files match {path.name}")
     return 0
 
 
@@ -642,11 +654,8 @@ def _check_spec_provenance(out: Path, setup: Setup) -> None:
     mismatches = []
     for command in ("optimize", "compare"):
         path = out / f"manifest_{command}.json"
-        try:
-            manifest = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if manifest.get("outputs", {}).get(SPEC_FILENAME) != digest:
+        manifest = _read_manifest(path)
+        if manifest is None or manifest["outputs"].get(SPEC_FILENAME) != digest:
             continue
         fitted = _filled(_parse_config_text(manifest["config"], path.name))["problem"]
         diff = [f"problem.{key} = {_fmt(fitted.get(key))} there, {_fmt(value)} here"
@@ -850,13 +859,13 @@ def _check_gradient_fd() -> tuple[bool, str]:
     batch = sample_centered(spec, rng, 400)
     grads = estimate_gradients(spec, problem, batch)
     eta = 1e-6
-    up = estimate_dkl(spec.with_mean(spec.mean + eta), problem, batch=batch)
-    dn = estimate_dkl(spec.with_mean(spec.mean - eta), problem, batch=batch)
+    up = estimate_dkl(replace(spec, mean=spec.mean + eta), problem, batch=batch)
+    dn = estimate_dkl(replace(spec, mean=spec.mean - eta), problem, batch=batch)
     fd_m = (up.value - dn.value) / (2 * eta)
     err_m = abs(fd_m - float(grads.mean[0])) / max(1.0, abs(fd_m))
-    up = estimate_dkl(spec.with_cov(ScalarVariance(0.3 + eta)), problem,
+    up = estimate_dkl(replace(spec, cov=ScalarVariance(0.3 + eta)), problem,
                       batch=batch, base=spec)
-    dn = estimate_dkl(spec.with_cov(ScalarVariance(0.3 - eta)), problem,
+    dn = estimate_dkl(replace(spec, cov=ScalarVariance(0.3 - eta)), problem,
                       batch=batch, base=spec)
     fd_s = (up.value - dn.value) / (2 * eta)
     err_s = abs(fd_s - float(grads.cov)) / max(1.0, abs(fd_s))

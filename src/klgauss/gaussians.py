@@ -15,21 +15,22 @@ supported, one per target problem:
 
 Each family class is the one place that knows its own math (see
 :class:`_Family`); what depends only on the parameter value is computed
-when the family is built. The functions below apply a spec's family for the
-objective, the optimizer and the samplers, and build the Gaussian potential
-used by proposal-informed pCN.
+when the family is built. Callers apply a spec's family through its
+methods, ``spec.cov.quad(spec.ref, u)`` and the like.
+:class:`GaussianPotential` is the fit's potential used by
+proposal-informed pCN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Union, get_args
+from typing import Union, get_args
 
 import numpy as np
 
 from .errors import NotACovarianceError
 from .reference import BridgeReference, PeriodicReference, ScalarReference
-from .sampling import require_spd, sample_tridiagonal_precision
+from .sampling import sample_tridiagonal_precision
 
 __all__ = [
     "ScalarVariance",
@@ -40,12 +41,9 @@ __all__ = [
     "FAMILIES",
     "GaussianSpec",
     "sample_centered",
-    "gamma_quad",
-    "cov_param_derivative",
-    "descent_direction_cov",
     "project_box",
     "project_spd",
-    "make_gaussian_potential",
+    "GaussianPotential",
     "log_density_ratio_centered",
 ]
 
@@ -102,8 +100,7 @@ class _Family:
     * ``draw(ref, rng, size)`` -- ``(u, a)``: centred draws ``u`` of shape
       ``(size, ref.dim)`` and their coordinates ``a = gamma_coords(ref, u)``,
       which the family has at hand while drawing (:class:`FiniteRank` returns
-      the leading coefficients it synthesised ``u`` from); ``sample`` is
-      ``draw(...)[0]``;
+      the leading coefficients it synthesised ``u`` from);
     * ``quad(ref, u)`` -- ``<u, Gamma u>`` with ``Gamma = C^{-1} - C0^{-1}``,
       batched over rows of ``u``;
     * ``gamma_coords(ref, u)`` -- the coordinates of the rows of ``u`` that
@@ -131,9 +128,6 @@ class _Family:
     def summary(self) -> float:
         """One scalar summarizing the parameter for trace output."""
         return self.theta
-
-    def sample(self, ref, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.draw(ref, rng, size)[0]
 
     def gamma_coords(self, ref, u: np.ndarray) -> np.ndarray:
         return u
@@ -220,7 +214,11 @@ class FiniteRank(_Family):
 
     def _hold(self, factor: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
         """Keep ``factor`` with its eigenpairs, which must show it positive definite."""
-        require_spd(values, "finite-rank factor")
+        lo = float(values.min())
+        if lo <= 0.0:
+            raise NotACovarianceError(
+                f"finite-rank factor must be positive definite; smallest eigenvalue is {lo:.6g}"
+            )
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "_eig", (values, vectors))
         object.__setattr__(self, "_inv_sq", (vectors / values**2) @ vectors.T)  # B^{-2}
@@ -419,45 +417,17 @@ class GaussianSpec:
         object.__setattr__(self, "mean", m)
         self.cov.check(self.ref)
 
-    def with_mean(self, mean: np.ndarray) -> "GaussianSpec":
-        return replace(self, mean=np.asarray(mean, dtype=float))
-
-    def with_cov(self, cov: CovParam) -> "GaussianSpec":
-        return replace(self, cov=cov)
-
 
 def sample_centered(spec: GaussianSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` centred fields from the fitted covariance, shape (size, dim)."""
-    return spec.cov.sample(spec.ref, rng, size)
-
-
-def gamma_quad(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
-    """``<u, Gamma u>`` with ``Gamma = C^{-1} - C0^{-1}``, batched over rows."""
-    return spec.cov.quad(spec.ref, np.asarray(u, dtype=float))
-
-
-def cov_param_derivative(spec: GaussianSpec, u: np.ndarray) -> np.ndarray:
-    """Per-sample derivative of ``-(1/2) <u, Gamma u>`` in the covariance parameter.
-
-    This is the parameter derivative of the reduced discrepancy; shapes are
-    ``(B,)`` for the scalar families, ``(B, K, K)`` for the finite-rank
-    factor and ``(B, n)`` for the variable potential.
-    """
-    cov, ref = spec.cov, spec.ref
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    return cov.quad_derivative(ref, cov.gamma_coords(ref, u))
-
-
-def descent_direction_cov(spec: GaussianSpec, cov_term: np.ndarray | float):
-    """Apply the family's preconditioner to the raw covariance gradient term."""
-    return spec.cov.precondition(spec.ref, cov_term)
+    return spec.cov.draw(spec.ref, rng, size)[0]
 
 
 # ---------------------------------------------------------------------------
 # Gaussian potential for proposal-informed pCN
 
 
-class _GaussianPotential:
+class GaussianPotential:
     """The fit's potential against the reference, batched over rows of ``u``.
 
     ``phi_nu(u) = -<w, shift> + (1/2) <w, Gamma w> + const`` with ``w = u - m``,
@@ -476,8 +446,9 @@ class _GaussianPotential:
             self.const = -0.5 * float(ref.cm_norm_sq(spec.mean - ref.mean0))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        w = np.asarray(u, dtype=float) - self.spec.mean
-        return -self.spec.ref.inner(w, self.shift) + 0.5 * gamma_quad(self.spec, w) + self.const
+        spec = self.spec
+        w = np.asarray(u, dtype=float) - spec.mean
+        return -spec.ref.inner(w, self.shift) + 0.5 * spec.cov.quad(spec.ref, w) + self.const
 
     def innovation_terms(self, xi: np.ndarray):
         """``(<xi, shift>, gamma_coords(xi), <xi, Gamma xi>)`` for each row of ``xi``.
@@ -492,11 +463,6 @@ class _GaussianPotential:
         return ref.quad_weight * (xi @ self.shift), coords, cov.quad_coords(ref, coords)
 
 
-def make_gaussian_potential(spec: GaussianSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The fit's potential ``phi_nu`` against the reference (see :class:`_GaussianPotential`)."""
-    return _GaussianPotential(spec)
-
-
 def log_density_ratio_centered(
     num: GaussianSpec, den: GaussianSpec, u: np.ndarray
 ) -> np.ndarray:
@@ -507,4 +473,4 @@ def log_density_ratio_centered(
     """
     if num.ref is not den.ref:
         raise ValueError("density ratio requires fits on the same reference")
-    return 0.5 * (gamma_quad(den, u) - gamma_quad(num, u))
+    return 0.5 * (den.cov.quad(den.ref, u) - num.cov.quad(num.ref, u))

@@ -67,7 +67,8 @@ innovation block, terms of ``d``, carried with the state and replaced from
 the proposal's own on accept, and the cross term ``<xi, Gamma d>``, one
 short dot product per step. At ``beta = 1`` the terms of ``d`` drop out and
 the Gaussian part is subtracted from the whole block at once. Only the
-target's ``phi`` runs on each proposal.
+target's ``phi`` runs on each proposal. ``fit_chain`` passes the fit's
+:class:`~klgauss.gaussians.GaussianPotential` as ``gaussian=``.
 """
 
 from __future__ import annotations
@@ -75,12 +76,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteObjectiveError
-from .gaussians import GaussianSpec, make_gaussian_potential, sample_centered
+from .gaussians import GaussianPotential, GaussianSpec, sample_centered
 
 __all__ = [
     "ChainConfig",
@@ -88,7 +90,6 @@ __all__ = [
     "run_chain",
     "reference_chain",
     "fit_chain",
-    "residual_potential",
     "autocovariance",
     "iact",
     "expected_acceptance",
@@ -298,7 +299,7 @@ def run_chain(
     potential that is not finite at ``mean`` raises
     :class:`~klgauss.errors.NonFiniteObjectiveError`.
     ``gaussian``, if given, is the Gaussian potential of the fit centred at
-    ``mean`` (from :func:`~klgauss.gaussians.make_gaussian_potential`); the
+    ``mean`` (a :class:`~klgauss.gaussians.GaussianPotential`); the
     chain then accepts on ``potential - gaussian``, with the Gaussian part
     carried as the module docstring describes.
     """
@@ -468,21 +469,6 @@ def run_chain(
     )
 
 
-def residual_potential(problem, spec: GaussianSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Target potential minus the fit's Gaussian potential.
-
-    This is the correct acceptance potential when the fit itself is the
-    proposal base: what remains after the Gaussian part of the target is
-    absorbed into the proposal.
-    """
-    gaussian_part = make_gaussian_potential(spec)
-
-    def pot(fields: np.ndarray) -> np.ndarray:
-        return problem.phi(fields) - gaussian_part(fields)
-
-    return pot
-
-
 def reference_chain(problem, ref, config: ChainConfig,
                     rng: np.random.Generator) -> ChainDiag:
     """Plain pCN: reference-measure proposals, full target potential."""
@@ -493,14 +479,13 @@ def fit_chain(problem, spec: GaussianSpec, config: ChainConfig,
               rng: np.random.Generator) -> ChainDiag:
     """Proposal-informed pCN around a fitted Gaussian.
 
-    Accepts on :func:`residual_potential`, with its Gaussian part computed
-    per innovation block and carried per state rather than evaluated per step.
+    Accepts on the residual potential, the target's ``phi`` minus the fit's
+    :class:`~klgauss.gaussians.GaussianPotential`, with its Gaussian part
+    computed per innovation block and carried per state rather than
+    evaluated per step.
     """
-    def sampler(rng_: np.random.Generator, size: int) -> np.ndarray:
-        return sample_centered(spec, rng_, size)
-
-    return run_chain(problem.phi, spec.mean, sampler, config, rng,
-                     gaussian=make_gaussian_potential(spec))
+    return run_chain(problem.phi, spec.mean, partial(sample_centered, spec), config, rng,
+                     gaussian=GaussianPotential(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import (
-    GaussianSpec,
-    gamma_quad,
-    log_density_ratio_centered,
-    sample_centered,
-)
+from .gaussians import GaussianSpec, log_density_ratio_centered, sample_centered
 
 __all__ = [
     "KLEstimate",
@@ -94,7 +89,7 @@ def reduced_discrepancy(spec: GaussianSpec, problem, u: np.ndarray) -> np.ndarra
 
 def _discrepancy(spec: GaussianSpec, problem, u: np.ndarray):
     """Reduced discrepancies of the rows of ``u`` and their ``<u, Gamma u>``."""
-    quad = gamma_quad(spec, u)
+    quad = spec.cov.quad(spec.ref, u)
     return problem.phi(u + spec.mean) - 0.5 * quad, quad
 
 

@@ -2,8 +2,8 @@
 
 Each iteration draws one centred batch from the current fit and reuses it
 for both parameter updates: the mean moves along the covariance-smoothed
-mean gradient, the covariance parameter along its family preconditioned
-gradient (see :func:`klgauss.gaussians.descent_direction_cov`), both with
+mean gradient, the covariance parameter along its gradient preconditioned
+by the family's own ``precondition`` method, both with
 the decaying step ``a0 * n**(-decay)``. Means are clipped back into their
 box; the covariance family projects its own update (a box clip, or an
 eigenvalue clamp for the symmetric finite-rank factor) and returns the
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteObjectiveError
-from .gaussians import GaussianSpec, descent_direction_cov, project_box
+from .gaussians import GaussianSpec, project_box
 from .objective import estimate_gradients, uniform_weights
 
 __all__ = [
@@ -154,7 +154,7 @@ def rm_minimize(
             a_n = config.schedule.step_at(n)
 
             raw_mean = spec.mean - a_n * spec.ref.apply_cov(grads.mean)
-            raw_cov = spec.cov.theta - a_n * np.asarray(descent_direction_cov(spec, grads.cov))
+            raw_cov = spec.cov.theta - a_n * np.asarray(spec.cov.precondition(spec.ref, grads.cov))
             if not (np.isfinite(raw_mean).all() and np.isfinite(raw_cov).all()):
                 raise _nonfinite("parameter update", n, trace)
             new_mean, mean_active = project_box(raw_mean, m_lo, m_hi)

@@ -5,10 +5,10 @@ Three constructions, all exact in distribution on the grid:
 * :func:`sample_finite_rank` -- truncated expansion on the periodic grid
   whose first ``K`` coefficients have covariance ``B @ B`` (``B`` a
   symmetric positive-definite factor) and whose tail keeps the reference
-  amplitudes. It checks the factor, then draws with
-  :meth:`klgauss.gaussians.FiniteRank.draw`, which synthesises the fields
-  from their coefficients once and also returns the ``K`` leading ones, so
-  the optimizer never transforms a batch back to read them.
+  amplitudes. It allows a factor symmetric to 1e-10, symmetrizes it and
+  leaves every other check to the family it builds,
+  :class:`klgauss.gaussians.FiniteRank`, whose ``draw`` synthesises the
+  fields. The optimizer and the chains call that family directly.
 * :func:`sample_tridiagonal_precision` -- every bridge measure: banded Cholesky
   factor of its tridiagonal precision and one banded triangular solve, O(n).
 * :func:`sample_ou_bridge` -- pinned Ornstein-Uhlenbeck path for a
@@ -37,15 +37,6 @@ __all__ = [
 ]
 
 
-def require_spd(eigenvalues: np.ndarray, what: str) -> None:
-    """Raise :class:`NotACovarianceError` if any eigenvalue is non-positive."""
-    lo = float(np.min(eigenvalues))
-    if lo <= 0.0:
-        raise NotACovarianceError(
-            f"{what} must be positive definite; smallest eigenvalue is {lo:.6g}"
-        )
-
-
 def sample_finite_rank(
     factor: np.ndarray,
     ref: PeriodicReference,
@@ -66,19 +57,15 @@ def sample_finite_rank(
         Number of independent fields; returned as shape ``(size, ref.n)``.
     """
     factor = np.asarray(factor, dtype=float)
-    k = factor.shape[0]
-    if factor.shape != (k, k):
-        raise ValueError(f"factor must be square, got shape {factor.shape}")
-    if k > ref.n_modes:
-        raise ValueError(
-            f"factor rank {k} exceeds the {ref.n_modes} retained modes of the grid"
-        )
-    if not np.allclose(factor, factor.T, atol=1e-10 * max(1.0, np.abs(factor).max())):
-        raise ValueError("factor must be symmetric")
-    require_spd(np.linalg.eigvalsh(factor), "finite-rank factor")
+    if factor.shape == factor.T.shape:  # the family reports any other shape
+        if not np.allclose(factor, factor.T, atol=1e-10 * max(1.0, np.abs(factor).max())):
+            raise ValueError("factor must be symmetric")
+        # symmetrized: the family holds factors symmetric to 1e-12, this check allows 1e-10
+        factor = 0.5 * (factor + factor.T)
     from .gaussians import FiniteRank  # gaussians imports this module for its samplers
-    # symmetrized: the family holds factors symmetric to 1e-12, this check allows 1e-10
-    return FiniteRank(0.5 * (factor + factor.T)).draw(ref, rng, size)[0]
+    family = FiniteRank(factor)
+    family.check(ref)
+    return family.draw(ref, rng, size)[0]
 
 
 def _sinh_ratio(a: float, t: np.ndarray) -> np.ndarray:

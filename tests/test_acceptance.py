@@ -7,6 +7,7 @@ fixed; runtime-limited criteria time themselves.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from klgauss import (
     ScalarVariance,
     VariablePotential,
     acceptance_lower_bound,
-    cov_param_derivative,
     estimate_dkl,
     estimate_gradients,
     expected_acceptance,
@@ -34,7 +34,6 @@ from klgauss import (
     project_spd,
     reduced_discrepancy,
     reference_chain,
-    residual_potential,
     rm_minimize,
     run_chain,
     sample_centered,
@@ -46,6 +45,7 @@ from klgauss import (
     dirichlet_precision,
 )
 from klgauss.cli import Setup, load_config
+from test_mcmc import residual_potential
 
 
 _EMIT = print
@@ -266,10 +266,11 @@ def test_c06_gradient_suite():
 
     def disc_at(t):
         return reduced_discrepancy(
-            fspec.with_cov(FiniteRank(factor + t * direction)), fprob, batch)
+            replace(fspec, cov=FiniteRank(factor + t * direction)), fprob, batch)
 
     fd = central_fd(disc_at, 0.0, 1e-6)
-    paired = np.einsum("bij,ij->b", cov_param_derivative(fspec, batch), direction)
+    deriv = fspec.cov.quad_derivative(ref, fspec.cov.gamma_coords(ref, batch))
+    paired = np.einsum("bij,ij->b", deriv, direction)
     errors["finite-rank"] = (np.abs(fd - paired) / np.abs(paired)).max()
 
     fd_ok = (errors["darcy"] <= 1e-4 and errors["scalar"] <= 1e-6
@@ -280,12 +281,12 @@ def test_c06_gradient_suite():
     sprob = ScalarDoubleWell(0.05)
     sbatch = sample_centered(sspec, rng, 4000)
     fd_m = central_fd(
-        lambda t: estimate_dkl(sspec.with_mean(sspec.mean + t), sprob,
+        lambda t: estimate_dkl(replace(sspec, mean=sspec.mean + t), sprob,
                                batch=sbatch).value, 0.0, 1e-5)
     an_m = float(estimate_gradients(sspec, sprob, sbatch).mean[0])
     crn = {"mean": abs(fd_m - an_m) / abs(an_m)}
     fd_c = central_fd(
-        lambda t: estimate_dkl(sspec.with_cov(ScalarVariance(0.3 + t)), sprob,
+        lambda t: estimate_dkl(replace(sspec, cov=ScalarVariance(0.3 + t)), sprob,
                                batch=sbatch, base=sspec).value, 0.0, 1e-6)
     an_c = float(estimate_gradients(sspec, sprob, sbatch).cov)
     crn["cov"] = abs(fd_c - an_c) / abs(an_c)
@@ -295,7 +296,7 @@ def test_c06_gradient_suite():
     bprob = DiffusionProblem(0.05, 15)
     bbatch = sample_centered(bspec, rng, 4000)
     fd_b = central_fd(
-        lambda t: estimate_dkl(bspec.with_cov(ConstantPotential(2.0 + t, 0.05)),
+        lambda t: estimate_dkl(replace(bspec, cov=ConstantPotential(2.0 + t, 0.05)),
                                bprob, batch=bbatch, base=bspec).value, 0.0, 1e-5)
     an_b = float(estimate_gradients(bspec, bprob, bbatch).cov)
     crn["strength"] = abs(fd_b - an_b) / abs(an_b)

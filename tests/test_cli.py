@@ -478,6 +478,22 @@ def test_manifest_check_modes(tmp_path, capsys):
                  "--check"]) == 2  # no manifest for this command yet
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", "[1]", '"outputs"', "{}",
+                                  '{"outputs": [1]}', '{"outputs": "trace.csv"}'])
+def test_malformed_manifest_exits_2_on_check_and_is_skipped_by_provenance(
+        tmp_path, capsys, text):
+    cfg_path = write_config(tmp_path, TINY_SCALAR.replace("iterations = 1500", "iterations = 50"))
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", cfg_path, "--out", str(out)]) == 0
+    manifest = out / "manifest_optimize.json"
+    manifest.write_text(text)
+    capsys.readouterr()
+    assert main(["optimize", "--config", cfg_path, "--out", str(out), "--check"]) == 2
+    assert str(manifest) in capsys.readouterr().err
+    # provenance skips it, as it skips a spec that no manifest lists
+    assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
+
+
 def test_sample_informed_needs_fit(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "empty"

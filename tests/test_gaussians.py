@@ -12,13 +12,10 @@ from klgauss import (
     PeriodicReference,
     ScalarReference,
     ScalarVariance,
+    GaussianPotential,
     VariablePotential,
-    cov_param_derivative,
     dirichlet_precision,
-    descent_direction_cov,
-    gamma_quad,
     log_density_ratio_centered,
-    make_gaussian_potential,
     project_spd,
     sample_centered,
 )
@@ -91,18 +88,10 @@ def test_spec_pairing_validation():
         GaussianSpec(np.zeros(5), VariablePotential(np.ones(4), 0.1), br)
 
 
-def test_with_mean_with_cov_are_fresh_objects():
-    spec = scalar_spec()
-    other = spec.with_mean(np.array([0.3])).with_cov(ScalarVariance(0.9))
-    assert spec.mean[0] == 0.1 and spec.cov.sigma == 0.4
-    assert other.mean[0] == 0.3 and other.cov.sigma == 0.9
-    assert other.ref is spec.ref
-
-
 def test_gamma_quad_scalar_closed_form():
     spec = scalar_spec(sigma=0.5)
     u = np.array([[0.7], [-1.2]])
-    assert np.allclose(gamma_quad(spec, u), (1 / 0.25 - 1.0) * u[:, 0] ** 2)
+    assert np.allclose(spec.cov.quad(spec.ref, u), (1 / 0.25 - 1.0) * u[:, 0] ** 2)
 
 
 def test_gamma_quad_finite_rank_dense_identity():
@@ -114,11 +103,11 @@ def test_gamma_quad_finite_rank_dense_identity():
     b2inv = np.linalg.inv(cov.factor @ cov.factor)
     gm = b2inv - np.diag(1.0 / ref.lam2[: cov.rank])
     want = np.einsum("bi,ij,bj->b", v, gm, v)
-    assert np.allclose(gamma_quad(spec, u), want)
+    assert np.allclose(spec.cov.quad(spec.ref, u), want)
     # modes beyond the rank keep reference statistics: no contribution
     tail = np.zeros(ref.n_modes)
     tail[cov.rank + 1] = 2.0
-    assert gamma_quad(spec, ref.synth(tail)) == pytest.approx(0.0, abs=1e-12)
+    assert spec.cov.quad(spec.ref, ref.synth(tail)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gamma_quad_bridge_dense_identity():
@@ -130,7 +119,7 @@ def test_gamma_quad_bridge_dense_identity():
             ref, cov.values if variable else cov.strength, cov.eps)
         prec_ref = ref.h * dirichlet_precision(ref.dim)
         want = np.einsum("bi,ij,bj->b", u, prec_fit - prec_ref, u)
-        assert np.allclose(gamma_quad(spec, u), want)
+        assert np.allclose(spec.cov.quad(spec.ref, u), want)
 
 
 def central_fd(f, eta):
@@ -139,46 +128,41 @@ def central_fd(f, eta):
 
 def test_cov_derivative_scalar_matches_fd():
     spec = scalar_spec(sigma=0.4)
+    ref = spec.ref
     u = np.array([[0.8], [-0.3]])
-    deriv = cov_param_derivative(spec, u)
-    fd = central_fd(
-        lambda e: -0.5 * gamma_quad(spec.with_cov(ScalarVariance(0.4 + e)), u), 1e-6)
+    deriv = spec.cov.quad_derivative(ref, spec.cov.gamma_coords(ref, u))
+    fd = central_fd(lambda e: -0.5 * ScalarVariance(0.4 + e).quad(ref, u), 1e-6)
     assert np.allclose(deriv, fd, rtol=1e-7)
 
 
 def test_cov_derivative_finite_rank_matches_fd():
     spec = finite_rank_spec()
+    ref, cov = spec.ref, spec.cov
     rng = np.random.default_rng(9)
-    u = spec.ref.sample_centered(rng, 4)
-    s = rng.standard_normal((spec.cov.rank,) * 2)
+    u = ref.sample_centered(rng, 4)
+    s = rng.standard_normal((cov.rank,) * 2)
     s = 0.5 * (s + s.T)
-    deriv = cov_param_derivative(spec, u)  # (B, K, K)
-    fd = central_fd(
-        lambda e: -0.5 * gamma_quad(spec.with_cov(FiniteRank(spec.cov.factor + e * s)), u),
-        1e-7,
-    )
+    deriv = cov.quad_derivative(ref, cov.gamma_coords(ref, u))  # (B, K, K)
+    fd = central_fd(lambda e: -0.5 * FiniteRank(cov.factor + e * s).quad(ref, u), 1e-7)
     assert np.allclose(np.einsum("bij,ij->b", deriv, s), fd, rtol=1e-5)
 
 
 def test_cov_derivative_bridge_matches_fd():
     const = bridge_spec(variable=False)
-    u = np.random.default_rng(2).standard_normal((3, const.ref.dim))
-    deriv = cov_param_derivative(const, u)
-    fd = central_fd(
-        lambda e: -0.5 * gamma_quad(
-            const.with_cov(ConstantPotential(2.0 + e, const.cov.eps)), u), 1e-6)
+    ref, cov = const.ref, const.cov
+    u = np.random.default_rng(2).standard_normal((3, ref.dim))
+    deriv = cov.quad_derivative(ref, cov.gamma_coords(ref, u))
+    fd = central_fd(lambda e: -0.5 * ConstantPotential(2.0 + e, cov.eps).quad(ref, u), 1e-6)
     assert np.allclose(deriv, fd, rtol=1e-6)
 
     var = bridge_spec(variable=True)
-    u = np.random.default_rng(6).standard_normal((3, var.ref.dim))
-    deriv = cov_param_derivative(var, u)  # (B, n): L2 gradient field in b
-    s = np.random.default_rng(7).random(var.ref.dim)
+    ref, cov = var.ref, var.cov
+    u = np.random.default_rng(6).standard_normal((3, ref.dim))
+    deriv = cov.quad_derivative(ref, cov.gamma_coords(ref, u))  # (B, n): L2 gradient field in b
+    s = np.random.default_rng(7).random(ref.dim)
     fd = central_fd(
-        lambda e: -0.5 * gamma_quad(
-            var.with_cov(VariablePotential(var.cov.values + e * s, var.cov.eps)), u),
-        1e-7,
-    )
-    paired = var.ref.h * deriv @ s  # quadrature-weighted pairing
+        lambda e: -0.5 * VariablePotential(cov.values + e * s, cov.eps).quad(ref, u), 1e-7)
+    paired = ref.h * deriv @ s  # quadrature-weighted pairing
     assert np.allclose(paired, fd, rtol=1e-5)
 
 
@@ -196,7 +180,7 @@ def test_phi_nu_is_negative_log_density_ratio():
     u = np.array([[0.5], [-1.1], [0.0]])
     want = dense_log_density_diff(
         u, spec.mean, np.array([[1 / 0.49]]), np.zeros(1), np.eye(1))
-    assert np.allclose(make_gaussian_potential(spec)(u), -want)
+    assert np.allclose(GaussianPotential(spec)(u), -want)
 
     # bridge family with a shifted reference mean and variable potential
     spec = bridge_spec(variable=True)
@@ -205,7 +189,7 @@ def test_phi_nu_is_negative_log_density_ratio():
     want = dense_log_density_diff(
         u, spec.mean, dense_path_precision(ref, spec.cov.values, spec.cov.eps),
         ref.mean0, ref.h * dirichlet_precision(ref.dim))
-    assert np.allclose(make_gaussian_potential(spec)(u), -want)
+    assert np.allclose(GaussianPotential(spec)(u), -want)
 
 
 def test_log_density_ratio_centered():
@@ -221,15 +205,16 @@ def test_log_density_ratio_centered():
 
 
 def test_descent_direction_identity_families():
-    assert descent_direction_cov(scalar_spec(), 0.7) == pytest.approx(0.7)
+    spec = scalar_spec()
+    assert spec.cov.precondition(spec.ref, 0.7) == pytest.approx(0.7)
     spec = bridge_spec(variable=False)
-    assert descent_direction_cov(spec, -1.3) == pytest.approx(-1.3)
+    assert spec.cov.precondition(spec.ref, -1.3) == pytest.approx(-1.3)
 
 
 def test_descent_direction_finite_rank_scaling():
     spec = finite_rank_spec()
     term = np.random.default_rng(0).standard_normal((3, 3))
-    got = descent_direction_cov(spec, term)
+    got = spec.cov.precondition(spec.ref, term)
     assert np.allclose(got, spec.ref.lam[spec.ref.n_modes - 1] * term)
 
 
@@ -237,7 +222,7 @@ def test_descent_direction_variable_smoother():
     spec = bridge_spec(variable=True)
     n, h = spec.ref.dim, spec.ref.h
     term = np.random.default_rng(1).standard_normal(n)
-    got = descent_direction_cov(spec, term)
+    got = spec.cov.precondition(spec.ref, term)
     # got - values solves smoothing * L x = term with the documented stencil
     lap = np.zeros((n, n))
     idx = np.arange(n)

@@ -15,6 +15,7 @@ from klgauss import (
     DarcyProblem,
     DiffusionProblem,
     FiniteRank,
+    GaussianPotential,
     GaussianSpec,
     NonFiniteObjectiveError,
     PeriodicReference,
@@ -27,13 +28,22 @@ from klgauss import (
     expected_acceptance,
     fit_chain,
     iact,
-    make_gaussian_potential,
     reference_chain,
-    residual_potential,
     run_chain,
     sample_centered,
     synthesize_darcy_data,
 )
+
+
+def residual_potential(problem, spec):
+    """Target potential minus the fit's Gaussian potential, evaluated whole:
+    the oracle for the Gaussian terms that ``run_chain`` carries."""
+    gaussian_part = GaussianPotential(spec)
+
+    def pot(fields):
+        return problem.phi(fields) - gaussian_part(fields)
+
+    return pot
 
 
 def naive_chain(potential, mean, sampler, config, rng):
@@ -414,7 +424,7 @@ def test_run_chain_rejects_gaussian_potential_off_its_mean():
     config = ChainConfig(steps=10, beta=0.5)
     with pytest.raises(ValueError):
         run_chain(problem.phi, spec.mean + 1.0, partial(sample_centered, spec), config,
-                  np.random.default_rng(0), gaussian=make_gaussian_potential(spec))
+                  np.random.default_rng(0), gaussian=GaussianPotential(spec))
 
 
 def test_zero_potential_accepts_everything_and_preserves_marginals():
@@ -767,7 +777,7 @@ def test_residual_potential_subtracts_gaussian_part():
     problem = ScalarDoubleWell(0.05)
     pot = residual_potential(problem, spec)
     u = np.array([[0.3], [-0.5], [1.0]])
-    assert np.allclose(pot(u), problem.phi(u) - make_gaussian_potential(spec)(u))
+    assert np.allclose(pot(u), problem.phi(u) - GaussianPotential(spec)(u))
 
 
 def test_chain_wrappers_run():

@@ -1,5 +1,7 @@
 """Divergence estimator, gradients, and the scalar closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,7 +20,6 @@ from klgauss import (
     VariablePotential,
     estimate_dkl,
     estimate_gradients,
-    gamma_quad,
     reduced_discrepancy,
     sample_centered,
     scalar_acceptance_asymptote,
@@ -35,7 +36,7 @@ def test_reduced_discrepancy_definition():
     spec = spec_at(0.2, 0.6)
     problem = ScalarDoubleWell(0.1)
     u = np.array([[0.3], [-0.9]])
-    want = problem.phi(u + spec.mean) - 0.5 * gamma_quad(spec, u)
+    want = problem.phi(u + spec.mean) - 0.5 * spec.cov.quad(spec.ref, u)
     assert np.allclose(reduced_discrepancy(spec, problem, u), want)
 
 
@@ -107,14 +108,14 @@ def test_gradients_are_exact_derivatives_on_frozen_batch():
     grads = estimate_gradients(spec, problem, batch)
     eta = 1e-6
 
-    up = estimate_dkl(spec.with_mean(spec.mean + eta), problem, batch=batch)
-    dn = estimate_dkl(spec.with_mean(spec.mean - eta), problem, batch=batch)
+    up = estimate_dkl(replace(spec, mean=spec.mean + eta), problem, batch=batch)
+    dn = estimate_dkl(replace(spec, mean=spec.mean - eta), problem, batch=batch)
     fd_mean = (up.value - dn.value) / (2 * eta)
     assert fd_mean == pytest.approx(float(grads.mean[0]), rel=1e-7)
 
-    up = estimate_dkl(spec.with_cov(ScalarVariance(0.35 + eta)), problem,
+    up = estimate_dkl(replace(spec, cov=ScalarVariance(0.35 + eta)), problem,
                       batch=batch, base=spec)
-    dn = estimate_dkl(spec.with_cov(ScalarVariance(0.35 - eta)), problem,
+    dn = estimate_dkl(replace(spec, cov=ScalarVariance(0.35 - eta)), problem,
                       batch=batch, base=spec)
     fd_cov = (up.value - dn.value) / (2 * eta)
     assert fd_cov == pytest.approx(float(grads.cov), rel=1e-6)

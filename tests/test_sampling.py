@@ -18,7 +18,6 @@ from klgauss import (
     ScalarVariance,
     VariablePotential,
     dirichlet_precision,
-    require_spd,
     sample_centered,
     sample_finite_rank,
     sample_ou_bridge,
@@ -48,11 +47,6 @@ def dense_path_precision(n, potential, eps):
     h = 1.0 / (n + 1)
     b = np.broadcast_to(np.asarray(potential, dtype=float), (n,))
     return h * (dirichlet_precision(n) + np.diag(b / (2.0 * eps**2)))
-
-
-def test_require_spd_rejects_indefinite():
-    with pytest.raises(NotACovarianceError):
-        require_spd(np.array([2.0, -0.5]), "test matrix")
 
 
 def test_finite_rank_leading_block_covariance():
