@@ -27,10 +27,10 @@ from .gaussians import (
     GaussianSpec,
     ScalarVariance,
     VariablePotential,
-    log_density_ratio_centered,
     project_box,
     project_spd,
     sample_centered,
+    sample_finite_rank,
 )
 from .mcmc import (
     ChainConfig,
@@ -54,7 +54,6 @@ from .objective import (
     scalar_sigma_opt,
 )
 from .sampling import (
-    sample_finite_rank,
     sample_ou_bridge,
     sample_tridiagonal_precision,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "fourier_eigenvalues",
     "fourier_mode",
     "iact",
-    "log_density_ratio_centered",
     "project_box",
     "project_spd",
     "reduced_discrepancy",

@@ -29,8 +29,11 @@ configuration; rerunning a subcommand with ``--check`` verifies the files
 in the output directory against that manifest instead of recomputing.
 What each ``problem.kind`` reads, with defaults and ranges, is declared once
 in ``KINDS``. Unknown keys, keys that the config's kind or family does not
-read and out-of-range values are usage errors (exit 2); numerical failures
-exit 3 and leave an error manifest behind.
+read and out-of-range values are usage errors (exit 2) and write no
+manifest. Every command but ``check`` runs through one runner, ``_run``,
+which builds the :class:`Setup`, makes the output directory and writes the
+manifest; a numerical failure exits 3 with an ``error`` field in it, listing
+the files the command wrote before it failed.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -473,25 +476,24 @@ def load_gaussian_spec(path: Path) -> GaussianSpec:
         raise ValueError(f"{path} has no {exc.args[0]} entry") from exc
 
 
-def _write_manifest(out: Path, command: str, cfg, seed: int, paper_scale: bool,
-                    filenames: list[str], started: str,
-                    error: str | None = None) -> None:
+def _write_manifest(out: Path, args, cfg, filenames: list[str], started: str,
+                    error: str | None) -> None:
     outputs = {}
     for name in sorted(filenames):
         outputs[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": canonical_config_text(cfg),
         "config_hash": config_hash(cfg),
-        "seed": seed,
-        "paper_scale": paper_scale,
+        "seed": args.seed,
+        "paper_scale": args.paper_scale,
         "outputs": outputs,
         "started": started,
         "finished": _now(),
     }
     if error is not None:
         manifest["error"] = error
-    (out / f"manifest_{command}.json").write_text(
+    (out / f"manifest_{args.command}.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
 
@@ -563,14 +565,44 @@ def _write_trace_files(out: Path, trace) -> list[str]:
     return files
 
 
-def _run_optimize_stage(setup: Setup, out: Path) -> tuple[GaussianSpec, list[str]]:
-    """Fit and write the optimizer outputs; raises with partial trace attached."""
+def _run(args, cfg) -> int:
+    """Run the command body ``args.func`` and write its manifest; returns the exit code.
+
+    The body takes ``(args, setup, out, files)`` and appends to ``files``
+    each file it writes in ``out``. On a numerical failure the manifest
+    lists those files and the trace files of a fit that failed partway,
+    written here, and carries the ``error``; the exit code is then 3. A
+    :class:`UsageError` passes through and leaves no manifest.
+    """
+    setup = Setup(cfg, args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    started = _now()
+    files: list[str] = []
+    error = None
+    try:
+        args.func(args, setup, out, files)
+    except _NUMERICAL_FAILURES as exc:
+        trace = getattr(exc, "trace", None)
+        if trace is not None and trace.steps:
+            files += _write_trace_files(out, trace)
+        error = str(exc)
+    _write_manifest(out, args, cfg, files, started, error)
+    if error is None:
+        return 0
+    print(f"numerical failure: {error}", file=sys.stderr)
+    return 3
+
+
+def _run_optimize_stage(setup: Setup, out: Path, files: list[str]) -> GaussianSpec:
+    """Fit and write the optimizer outputs, appending them to ``files``; a
+    numerical failure raises with the partial trace attached."""
     rng = np.random.default_rng([setup.seed, 1])
     t0 = time.perf_counter()
     final, trace = rm_minimize(setup.spec0, setup.problem, setup.rm_config, rng)
     elapsed = time.perf_counter() - t0
 
-    files = _write_trace_files(out, trace)
+    files += _write_trace_files(out, trace)
     save_gaussian_spec(out / SPEC_FILENAME, final)
     files.append(SPEC_FILENAME)
     if setup.data is not None:  # the synthetic observations of an inverse problem
@@ -582,40 +614,14 @@ def _run_optimize_stage(setup: Setup, out: Path) -> tuple[GaussianSpec, list[str
 
     print(f"optimize: {setup.rm_config.iterations} iterations in {elapsed:.1f} s")
     print(f"optimize: divergence {trace.dkl[0]:.4f} -> {trace.dkl[-1]:.4f} (up to log Z)")
-    return final, files
+    return final
 
 
-def _numerical_failure(out: Path, command: str, args, cfg, started: str, exc: Exception,
-                       files: Iterable[str] = ()) -> int:
-    """Leave an error manifest for a run that failed numerically; returns exit 3.
-
-    The manifest lists ``files``, those the run wrote before it failed, and
-    the trace files of a fit that failed partway, which it writes here.
-    """
-    files = list(files)
-    trace = getattr(exc, "trace", None)
-    if trace is not None and trace.steps:
-        files += _write_trace_files(out, trace)
-    _write_manifest(out, command, cfg, args.seed, args.paper_scale, files, started,
-                    error=str(exc))
-    print(f"numerical failure: {exc}", file=sys.stderr)
-    return 3
-
-
-def cmd_optimize(args, cfg) -> int:
-    setup = Setup(cfg, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    try:
-        final, files = _run_optimize_stage(setup, out)
-    except _NUMERICAL_FAILURES as exc:
-        return _numerical_failure(out, "optimize", args, cfg, started, exc)
+def cmd_optimize(args, setup: Setup, out: Path, files: list[str]) -> None:
+    final = _run_optimize_stage(setup, out, files)
     est = estimate_dkl(final, setup.problem, 2000, np.random.default_rng([args.seed, 7]))
     print(f"optimize: fresh-batch divergence estimate {est.value:.4f} "
           f"(stderr {est.stderr:.4f})")
-    _write_manifest(out, "optimize", cfg, args.seed, args.paper_scale, files, started)
-    return 0
 
 
 def _chain_outputs(out: Path, diag: ChainDiag, max_lag: int) -> list[str]:
@@ -647,7 +653,8 @@ def _check_spec_provenance(out: Path, setup: Setup) -> None:
     The spec is matched to the ``optimize`` or ``compare`` manifest that
     lists it with its current SHA-256. That run's problem settings (and,
     for Darcy, its seed, which draws the synthetic data) must equal this
-    run's; a spec that no manifest lists is used as it is.
+    run's; a spec that no manifest lists, or whose manifest records no
+    config naming a kind and family, is used as it is.
     """
     digest = hashlib.sha256((out / SPEC_FILENAME).read_bytes()).hexdigest()
     current = _filled(setup.cfg)["problem"]
@@ -657,7 +664,10 @@ def _check_spec_provenance(out: Path, setup: Setup) -> None:
         manifest = _read_manifest(path)
         if manifest is None or manifest["outputs"].get(SPEC_FILENAME) != digest:
             continue
-        fitted = _filled(_parse_config_text(manifest["config"], path.name))["problem"]
+        try:
+            fitted = _filled(_parse_config_text(manifest["config"], path.name))["problem"]
+        except (KeyError, TypeError):  # no config text, or none naming a kind and family
+            continue
         diff = [f"problem.{key} = {_fmt(fitted.get(key))} there, {_fmt(value)} here"
                 for key, value in current.items() if fitted.get(key) != value]
         if KINDS[setup.kind].seeded_data and manifest.get("seed") != setup.seed:
@@ -673,11 +683,7 @@ def _check_spec_provenance(out: Path, setup: Setup) -> None:
         )
 
 
-def cmd_sample(args, cfg) -> int:
-    setup = Setup(cfg, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
+def cmd_sample(args, setup: Setup, out: Path, files: list[str]) -> None:
     if setup.algorithm == "informed":
         spec_path = out / SPEC_FILENAME
         if not spec_path.is_file():
@@ -706,18 +712,13 @@ def cmd_sample(args, cfg) -> int:
         chain = partial(run_chain, lambda fields: np.zeros(len(fields)), mean, sampler)
     rng = np.random.default_rng([args.seed, stream])
     t0 = time.perf_counter()
-    try:
-        diag = chain(setup.chain_config, rng)
-    except _NUMERICAL_FAILURES as exc:
-        return _numerical_failure(out, "sample", args, cfg, started, exc)
+    diag = chain(setup.chain_config, rng)
     elapsed = time.perf_counter() - t0
     print(f"sample[{setup.algorithm}]: {diag.steps} steps in {elapsed:.1f} s, "
           f"acceptance {diag.acceptance_rate:.4f}, "
           f"{diag.nonfinite_proposals} non-finite proposals, "
           f"{diag.potential_calls} potential calls on {diag.potential_rows} rows")
-    files = _chain_outputs(out, diag, setup.chain_config.max_lag)
-    _write_manifest(out, "sample", cfg, args.seed, args.paper_scale, files, started)
-    return 0
+    files += _chain_outputs(out, diag, setup.chain_config.max_lag)
 
 
 def _compare_chains(setup: Setup, spec: GaussianSpec, seed: int):
@@ -751,17 +752,9 @@ def _compare_chains(setup: Setup, spec: GaussianSpec, seed: int):
     return rows, summary
 
 
-def cmd_compare(args, cfg) -> int:
-    setup = Setup(cfg, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    files: list[str] = []
-    try:
-        spec, files = _run_optimize_stage(setup, out)
-        rows, summary = _compare_chains(setup, spec, args.seed)
-    except _NUMERICAL_FAILURES as exc:
-        return _numerical_failure(out, "compare", args, cfg, started, exc, files)
+def cmd_compare(args, setup: Setup, out: Path, files: list[str]) -> None:
+    spec = _run_optimize_stage(setup, out, files)
+    rows, summary = _compare_chains(setup, spec, args.seed)
     _write_csv(out / "compare.csv",
                ["algorithm", "steps", "acceptance_rate", "iact", "lag", "autocov"],
                rows)
@@ -772,18 +765,12 @@ def cmd_compare(args, cfg) -> int:
         print(f"compare: {name:<10} {rate:<10.4f} {tau:<6.2f} {pm:<11.4g} {pv:.4g}")
     if ref_s[1] > 0:
         print(f"compare: acceptance ratio informed/reference = {inf_s[1] / ref_s[1]:.2f}")
-    _write_manifest(out, "compare", cfg, args.seed, args.paper_scale, files, started)
-    return 0
 
 
-def cmd_scalar_analytic(args, cfg) -> int:
-    setup = Setup(cfg, args.seed)
+def cmd_scalar_analytic(args, setup: Setup, out: Path, files: list[str]) -> None:
     if setup.kind != "scalar":
         raise UsageError("scalar-analytic needs a config with problem.kind = scalar")
     eps = setup.problem.eps
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = _now()
     s_opt = scalar_sigma_opt(eps)
     d_opt = scalar_dkl_analytic(0.0, s_opt, eps)
     sigmas = np.linspace(0.5 * s_opt, 2.0 * s_opt, 151)
@@ -791,6 +778,7 @@ def cmd_scalar_analytic(args, cfg) -> int:
              scalar_dkl_analytic(0.0, s, eps) - d_opt) for s in sigmas]
     _write_csv(out / "scalar_analytic.csv",
                ["sigma", "dkl", "dkl_minus_opt"], rows)
+    files.append("scalar_analytic.csv")
     print(f"scalar-analytic: eps = {eps:g}")
     print(f"scalar-analytic: sigma_opt = {s_opt:.10g} "
           f"(sigma_opt^2 = {s_opt**2:.10g}; small-eps expansion "
@@ -799,9 +787,6 @@ def cmd_scalar_analytic(args, cfg) -> int:
           f"{scalar_dkl_analytic(0.0, s_opt, eps, absolute=True):.6f} (absolute)")
     print(f"scalar-analytic: reference-proposal acceptance asymptote "
           f"{scalar_acceptance_asymptote(eps):.6f}")
-    _write_manifest(out, "scalar-analytic", cfg, args.seed, args.paper_scale,
-                    ["scalar_analytic.csv"], started)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -966,13 +951,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.paper_scale:
             apply_paper_scale(cfg)
-        return args.func(args, cfg)
+        return _run(args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ Each family class is the one place that knows its own math (see
 when the family is built. Callers apply a spec's family through its
 methods, ``spec.cov.quad(spec.ref, u)`` and the like.
 :class:`GaussianPotential` is the fit's potential used by
-proposal-informed pCN.
+proposal-informed pCN; :func:`sample_finite_rank` draws from a bare
+finite-rank factor through the family.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "project_box",
     "project_spd",
     "GaussianPotential",
-    "log_density_ratio_centered",
+    "sample_finite_rank",
 ]
 
 
@@ -295,6 +296,40 @@ class FiniteRank(_Family):
         return cls(_vector(fields["factor"]).reshape(k, k))
 
 
+def sample_finite_rank(
+    factor: np.ndarray,
+    ref: PeriodicReference,
+    rng: np.random.Generator,
+    size: int,
+) -> np.ndarray:
+    """Draw fields whose first K expansion coefficients have covariance B @ B.
+
+    Parameters
+    ----------
+    factor : ndarray, shape (K, K)
+        Symmetric positive-definite factor ``B``; the coefficient block is
+        ``B xi`` for standard normal ``xi``. Modes beyond K keep the
+        reference amplitudes of ``ref``.
+    ref : PeriodicReference
+        Supplies the basis, the tail amplitudes and the synthesis FFT.
+    size : int
+        Number of independent fields; returned as shape ``(size, ref.n)``.
+
+    The factor may be symmetric to 1e-10; it is symmetrized and every other
+    check is left to the :class:`FiniteRank` family built from it, whose
+    ``draw`` synthesises the fields.
+    """
+    factor = np.asarray(factor, dtype=float)
+    if factor.shape == factor.T.shape:  # the family reports any other shape
+        if not np.allclose(factor, factor.T, atol=1e-10 * max(1.0, np.abs(factor).max())):
+            raise ValueError("factor must be symmetric")
+        # symmetrized: the family holds factors symmetric to 1e-12, this check allows 1e-10
+        factor = 0.5 * (factor + factor.T)
+    family = FiniteRank(factor)
+    family.check(ref)
+    return family.draw(ref, rng, size)[0]
+
+
 class _Potential(_Family):
     """Bridge families: precision ``h (S + diag(theta/(2 eps^2)))``."""
 
@@ -431,11 +466,12 @@ class GaussianPotential:
     """The fit's potential against the reference, batched over rows of ``u``.
 
     ``phi_nu(u) = -<w, shift> + (1/2) <w, Gamma w> + const`` with ``w = u - m``,
-    ``shift = C0^{-1}(m - m0)`` and ``const = -(1/2) |m - m0|^2_{C0}`` -- the
-    log-density of the reference relative to the fit, up to the (dropped)
-    normalizing constants. ``shift`` and ``const`` are computed once here;
-    a chain started on a fit whose ``const`` overflows fails on its
-    non-finite start, so numpy need not warn of the overflow.
+    ``shift = C0^{-1}(m - m0)`` and ``const = -(1/2) <m - m0, shift>``, that
+    is ``-(1/2) |m - m0|^2_{C0}`` -- the log-density of the reference
+    relative to the fit, up to the (dropped) normalizing constants.
+    ``shift`` and ``const`` are computed once here; a chain started on a fit
+    whose ``const`` overflows fails on its non-finite start, so numpy need
+    not warn of the overflow.
     """
 
     def __init__(self, spec: GaussianSpec) -> None:
@@ -443,7 +479,7 @@ class GaussianPotential:
         self.spec = spec
         with np.errstate(over="ignore", invalid="ignore"):
             self.shift = ref.precision_apply(spec.mean - ref.mean0)
-            self.const = -0.5 * float(ref.cm_norm_sq(spec.mean - ref.mean0))
+            self.const = -0.5 * float(ref.inner(spec.mean - ref.mean0, self.shift))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -461,16 +497,3 @@ class GaussianPotential:
         # must not stay alive for the whole block
         coords = np.ascontiguousarray(cov.gamma_coords(ref, xi))
         return ref.quad_weight * (xi @ self.shift), coords, cov.quad_coords(ref, coords)
-
-
-def log_density_ratio_centered(
-    num: GaussianSpec, den: GaussianSpec, u: np.ndarray
-) -> np.ndarray:
-    """Unnormalized log density ratio of two centred fits at the rows of ``u``.
-
-    Both specs must share a reference; the ratio of their centred measures
-    is ``exp((1/2)(<u, Gamma_den u> - <u, Gamma_num u>))`` up to a constant.
-    """
-    if num.ref is not den.ref:
-        raise ValueError("density ratio requires fits on the same reference")
-    return 0.5 * (den.cov.quad(den.ref, u) - num.cov.quad(num.ref, u))

@@ -8,13 +8,15 @@ against a target: for a centred sample ``u`` from the fit,
 where ``phi`` is the target's potential against the reference measure and
 ``Gamma = C^{-1} - C0^{-1}``. Up to the target's log partition function the
 divergence of the fit from the target splits into the expectation of
-``delta0``, a Cameron-Martin mean-shift penalty, and a log partition term
-of the fit, each estimated from a single shared batch.
+``delta0``, the Cameron-Martin mean-shift penalty ``(1/2) <m - m0, shift>``
+with ``shift = C0^{-1}(m - m0)``, and a log partition term of the fit; the
+first and last are estimated from a single shared batch.
 
 Gradients use the score-function form: the covariance-parameter gradient is
 the batch covariance of ``delta0`` with its per-sample parameter derivative,
-and the mean gradient averages the target's field gradient. With a frozen
-batch and importance reweighting toward a perturbed covariance (see
+and the mean gradient averages the target's field gradient, both from one
+``phi_and_grad`` call on the batch. With a frozen batch reweighted by the
+density ratio of the perturbed fit to the one it was drawn from (see
 ``base=`` below) these are *exactly* the derivatives of
 :func:`estimate_dkl`, which is what the finite-difference tests check.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import GaussianSpec, log_density_ratio_centered, sample_centered
+from .gaussians import GaussianSpec, sample_centered
 
 __all__ = [
     "KLEstimate",
@@ -40,18 +42,13 @@ __all__ = [
     "scalar_acceptance_asymptote",
 ]
 
-SHIFT_WARN_THRESHOLD = 30.0
-
-
 @dataclass(frozen=True)
 class KLEstimate:
     """One Monte Carlo divergence estimate, split into its three terms.
 
     ``value = discrepancy + mean_shift + log_partition`` estimates the
     divergence of the fit from the target up to the target's log partition
-    function (so it can be negative). ``shift`` is the largest exponent
-    seen inside the log-partition average; when it is large the batch is
-    dominated by a few samples and the estimate is untrustworthy.
+    function (so it can be negative).
     """
 
     value: float
@@ -59,12 +56,7 @@ class KLEstimate:
     mean_shift: float
     log_partition: float
     stderr: float
-    shift: float
     n_samples: int
-
-    @property
-    def shift_warning(self) -> bool:
-        return self.shift > SHIFT_WARN_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -105,9 +97,14 @@ def uniform_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _normalized_weights(spec: GaussianSpec, base: GaussianSpec | None,
                         batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log weights and weights of a batch drawn under ``base``'s covariance,
+    toward ``spec``'s: the normalized density ratio of the two centred fits,
+    ``exp((1/2)(<u, Gamma_base u> - <u, Gamma_spec u>))`` up to a constant."""
     if base is None or base.cov is spec.cov:
         return uniform_weights(batch.shape[0])
-    logw = log_density_ratio_centered(spec, base, batch)
+    if base.ref is not spec.ref:
+        raise ValueError("density ratio requires fits on the same reference")
+    logw = 0.5 * (base.cov.quad(base.ref, batch) - spec.cov.quad(spec.ref, batch))
     logw = logw - logw.max()
     logw = logw - np.log(np.exp(logw).sum())
     return logw, np.exp(logw)
@@ -172,7 +169,6 @@ def _kl_estimate(spec: GaussianSpec, weights: tuple[np.ndarray, np.ndarray],
         mean_shift=shift_term,
         log_partition=log_partition,
         stderr=float(np.hypot(se_disc, se_lp)),
-        shift=gmax,
         n_samples=size,
     )
 
@@ -189,8 +185,8 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray,
     same frozen batch (the covariance one under ``base=`` reweighting),
     whose value on this batch comes along from the same ``phi`` evaluation.
 
-    The target is evaluated once, on the shifted batch: by the problem's
-    ``phi_and_grad`` if it has one, else by its ``phi`` and ``grad_phi``.
+    The target is evaluated once, on the shifted batch, by the problem's
+    ``phi_and_grad``.
     ``<u, Gamma u>`` and the parameter derivative both read the batch's
     Gamma coordinates (see ``_Family.draw``); ``coords`` passes those the
     sampler returned, otherwise they are computed from the batch.
@@ -208,11 +204,7 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray,
     if weights is None:
         weights = uniform_weights(size)
     fields = batch + spec.mean
-    fused = getattr(problem, "phi_and_grad", None)
-    if fused is None:
-        phi, grad = problem.phi(fields), problem.grad_phi(fields)
-    else:
-        phi, grad = fused(fields)
+    phi, grad = problem.phi_and_grad(fields)
     shift = ref.precision_apply(spec.mean - ref.mean0)
     m_field = grad.sum(axis=0) / size + shift
 

@@ -1,9 +1,10 @@
 """Target measures: potentials against the reference and their gradients.
 
-Each problem exposes ``phi(fields)`` (batched potential),
-``grad_phi(fields)`` and ``phi_and_grad(fields)``, which returns both from
-one pass over the batch, bit for bit the two separate calls: the
-Robbins-Monro fit needs both on every batch, the chains only ``phi``.
+Each problem defines ``phi(fields)`` (batched potential) and
+``phi_and_grad(fields)``, which returns the potential (bit for bit ``phi``)
+and its gradient from one pass over the batch: the fit needs both on every batch,
+the chains only ``phi``. ``grad_phi(fields)`` is defined once, on the
+shared base class, as the gradient ``phi_and_grad`` returns.
 Gradients follow the package convention: they are fields paired with
 directions through the weighted grid inner product ``ref.inner``, so every
 quadrature weight is baked in and directional derivatives match finite
@@ -24,7 +25,14 @@ __all__ = [
 ]
 
 
-class ScalarDoubleWell:
+class _Problem:
+    """``grad_phi`` for every problem, from its ``phi_and_grad``."""
+
+    def grad_phi(self, fields: np.ndarray) -> np.ndarray:
+        return self.phi_and_grad(fields)[1]
+
+
+class ScalarDoubleWell(_Problem):
     """One-dimensional target ``exp(-V(x)/eps)`` with ``V = x^4 + x^2/2``.
 
     Against the unit-normal reference the potential is
@@ -44,21 +52,14 @@ class ScalarDoubleWell:
         x = np.asarray(fields, dtype=float)[..., 0]
         return self._phi(x * x)
 
-    def grad_phi(self, fields: np.ndarray) -> np.ndarray:
-        x = np.asarray(fields, dtype=float)
-        return self._grad(x, x * x)
-
     def phi_and_grad(self, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(fields, dtype=float)
         x2 = x * x
-        return self._phi(x2[..., 0]), self._grad(x, x2)
+        return self._phi(x2[..., 0]), (4.0 * (x2 * x) + x) / self.eps - x
 
     def _phi(self, x2: np.ndarray) -> np.ndarray:
         half = 0.5 * x2
         return (x2 * x2 + half) / self.eps - half
-
-    def _grad(self, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        return (4.0 * (x2 * x) + x) / self.eps - x
 
 
 def sample_double_well(eps: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -91,7 +92,7 @@ def darcy_true_field(n: int) -> np.ndarray:
     return 2.0 * np.sin(2.0 * np.pi * np.arange(n) / n)
 
 
-class DarcyProblem:
+class DarcyProblem(_Problem):
     """Scalar pressure observations of one-dimensional groundwater flow.
 
     The log-permeability ``u`` lives on the periodic grid; the pressure
@@ -99,7 +100,7 @@ class DarcyProblem:
     which integrates to ``p(x) = p_lo + (p_hi - p_lo) J(x)/J(1)`` with
     ``J(x)`` the running integral of ``exp(-u)``. Under the trapezoid rule
     each observed ``J(x_o)`` and the total ``J(1)`` are fixed weighted sums
-    of ``exp(-u)``, so ``observe``, ``phi`` and ``grad_phi`` read them with
+    of ``exp(-u)``, so ``observe``, ``phi`` and ``phi_and_grad`` read them with
     one product against a constant weight array (a row per observation
     point and one for the total); only ``forward`` builds the running
     integral at every node. ``phi`` is the squared misfit of pressure at the
@@ -188,26 +189,18 @@ class DarcyProblem:
     def phi(self, fields: np.ndarray) -> np.ndarray:
         return self._phi(self._observed(fields)[3] - self.data)
 
-    def grad_phi(self, fields: np.ndarray) -> np.ndarray:
-        e, j_obs, total, pressure = self._observed(fields)
-        return self._grad(e, j_obs, total, pressure - self.data)
-
     def phi_and_grad(self, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both from one ``exp`` and one weight product of the batch."""
         e, j_obs, total, pressure = self._observed(fields)
         misfit = pressure - self.data
-        return self._phi(misfit), self._grad(e, j_obs, total, misfit)
-
-    def _phi(self, misfit: np.ndarray) -> np.ndarray:
-        return (misfit * misfit).sum(axis=-1) / (2.0 * self.noise**2)
-
-    def _grad(self, e: np.ndarray, j_obs: np.ndarray, total: np.ndarray,
-              misfit: np.ndarray) -> np.ndarray:
         lo, hi = self.pressures
         r = misfit / self.noise**2
         common = (r * j_obs).sum(axis=-1) / total  # scalar part per field
         spread = r @ self._profiles  # (..., n)
-        return e * ((hi - lo) / total[..., None]) * (common[..., None] - spread)
+        return self._phi(misfit), e * ((hi - lo) / total[..., None]) * (common[..., None] - spread)
+
+    def _phi(self, misfit: np.ndarray) -> np.ndarray:
+        return (misfit * misfit).sum(axis=-1) / (2.0 * self.noise**2)
 
 
 def synthesize_darcy_data(
@@ -231,7 +224,7 @@ def synthesize_darcy_data(
 # conditioned diffusion on the bridge
 
 
-class DiffusionProblem:
+class DiffusionProblem(_Problem):
     """Double-well diffusion conditioned to run from 0 to 1 in unit time.
 
     Against the bridge reference with mean path ``t`` the Girsanov
@@ -252,19 +245,12 @@ class DiffusionProblem:
         w = np.asarray(fields, dtype=float)
         return self._phi(w * w)
 
-    def grad_phi(self, fields: np.ndarray) -> np.ndarray:
-        w = np.asarray(fields, dtype=float)
-        return self._grad(w, w * w)
-
     def phi_and_grad(self, fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = np.asarray(fields, dtype=float)
         w2 = w * w
-        return self._phi(w2), self._grad(w, w2)
+        return self._phi(w2), w * (w2 - 1.0) / self.eps**2
 
     def _phi(self, w2: np.ndarray) -> np.ndarray:
         f = (1.0 - w2) ** 2
         # boundary terms: (1 - 0^2)^2 = 1 on the left, (1 - 1^2)^2 = 0 on the right
         return (self.h * (f.sum(axis=-1) + 0.5)) / (4.0 * self.eps**2)
-
-    def _grad(self, w: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        return w * (w2 - 1.0) / self.eps**2

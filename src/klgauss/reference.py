@@ -15,9 +15,10 @@ Three reference families cover everything this package ships:
 
 Each reference owns its grid, its quadrature weight and the handful of
 operations the rest of the package needs: exact centred sampling,
-application of the covariance operator to a field, the inverse-covariance
-(Cameron-Martin) norm, and the grid inner product that makes discrete
-gradients exact adjoints of discrete objectives.
+application of the covariance operator and of its inverse to a field, and
+the grid inner product that makes discrete gradients exact adjoints of
+discrete objectives. The Cameron-Martin norm ``|v|^2_{C0}`` is
+``inner(v, precision_apply(v))``; nothing computes it another way.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ class ScalarReference:
 
     def precision_apply(self, field: np.ndarray) -> np.ndarray:
         return np.asarray(field, dtype=float).copy()
-
-    def cm_norm_sq(self, v: np.ndarray) -> float | np.ndarray:
-        return np.sum(np.asarray(v) ** 2, axis=-1)
 
 
 class PeriodicReference:
@@ -201,10 +199,6 @@ class PeriodicReference:
         """Apply the inverse covariance to a field in the retained span."""
         return self.synth(self.coeffs(field) / self.lam2)
 
-    def cm_norm_sq(self, v: np.ndarray) -> float | np.ndarray:
-        c = self.coeffs(v)
-        return np.sum(c * c / self.lam2, axis=-1)
-
 
 class BridgeReference:
     """Boundary-pinned Gaussian on (0, 1) with precision ``-(1/2) d^2/dt^2``.
@@ -268,9 +262,6 @@ class BridgeReference:
         f = np.asarray(field, dtype=float)
         padded = np.pad(f, [(0, 0)] * (f.ndim - 1) + [(1, 1)])
         return self._diag * f + self._off * (padded[..., :-2] + padded[..., 2:])
-
-    def cm_norm_sq(self, v: np.ndarray) -> float | np.ndarray:
-        return self.h * np.sum(v * self.precision_apply(v), axis=-1)
 
     def path_precision_banded(self, potential: np.ndarray | float, eps: float) -> np.ndarray:
         """``h (S + diag(b/(2 eps^2)))`` in upper banded form ``(2, n)``.

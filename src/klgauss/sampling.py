@@ -1,19 +1,15 @@
-"""Exact samplers for the Gaussian families used by the optimizer and pCN.
+"""Exact samplers for the bridge measures, below the reference and the families.
 
-Three constructions, all exact in distribution on the grid:
+Two constructions, both exact in distribution on the grid:
 
-* :func:`sample_finite_rank` -- truncated expansion on the periodic grid
-  whose first ``K`` coefficients have covariance ``B @ B`` (``B`` a
-  symmetric positive-definite factor) and whose tail keeps the reference
-  amplitudes. It allows a factor symmetric to 1e-10, symmetrizes it and
-  leaves every other check to the family it builds,
-  :class:`klgauss.gaussians.FiniteRank`, whose ``draw`` synthesises the
-  fields. The optimizer and the chains call that family directly.
 * :func:`sample_tridiagonal_precision` -- every bridge measure: banded Cholesky
   factor of its tridiagonal precision and one banded triangular solve, O(n).
 * :func:`sample_ou_bridge` -- pinned Ornstein-Uhlenbeck path for a
   constant potential: a one-step autoregressive recursion in ``t`` plus a
   sinh-profile endpoint correction; the banded sampler's independent check.
+
+The periodic grid's finite-rank draws belong to their family,
+:class:`klgauss.gaussians.FiniteRank`; ``sample_finite_rank`` lives beside it.
 
 scipy is imported inside the functions that call it, so importing this
 module loads numpy only; ``scipy.linalg`` loads on the first banded draw.
@@ -21,51 +17,14 @@ module loads numpy only; ``scipy.linalg`` loads on the first banded draw.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import NotACovarianceError
 
-if TYPE_CHECKING:  # reference.py imports this module for its own sampler
-    from .reference import PeriodicReference
-
 __all__ = [
-    "sample_finite_rank",
     "sample_ou_bridge",
     "sample_tridiagonal_precision",
 ]
-
-
-def sample_finite_rank(
-    factor: np.ndarray,
-    ref: PeriodicReference,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """Draw fields whose first K expansion coefficients have covariance B @ B.
-
-    Parameters
-    ----------
-    factor : ndarray, shape (K, K)
-        Symmetric positive-definite factor ``B``; the coefficient block is
-        ``B xi`` for standard normal ``xi``. Modes beyond K keep the
-        reference amplitudes of ``ref``.
-    ref : PeriodicReference
-        Supplies the basis, the tail amplitudes and the synthesis FFT.
-    size : int
-        Number of independent fields; returned as shape ``(size, ref.n)``.
-    """
-    factor = np.asarray(factor, dtype=float)
-    if factor.shape == factor.T.shape:  # the family reports any other shape
-        if not np.allclose(factor, factor.T, atol=1e-10 * max(1.0, np.abs(factor).max())):
-            raise ValueError("factor must be symmetric")
-        # symmetrized: the family holds factors symmetric to 1e-12, this check allows 1e-10
-        factor = 0.5 * (factor + factor.T)
-    from .gaussians import FiniteRank  # gaussians imports this module for its samplers
-    family = FiniteRank(factor)
-    family.check(ref)
-    return family.draw(ref, rng, size)[0]
 
 
 def _sinh_ratio(a: float, t: np.ndarray) -> np.ndarray:

@@ -197,17 +197,18 @@ def test_invalid_config_exits_2(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compare", "optimize"])
 @pytest.mark.parametrize("sigma", ["1e300", "1e120"])
-def test_overflowing_in_range_config_exits_3(tmp_path, capsys, sigma):
+def test_overflowing_in_range_config_exits_3(tmp_path, capsys, sigma, command):
     # sigma**2 overflows a float at 1e300, sigma**3 at 1e120
     text = TINY_SCALAR.replace("init_sigma = 1.0", f"init_sigma = {sigma}")
-    assert main(["compare", "--config", write_config(tmp_path, text),
+    assert main([command, "--config", write_config(tmp_path, text),
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err
-    manifest = json.loads((tmp_path / "out" / "manifest_compare.json").read_text())
+    manifest = json.loads((tmp_path / "out" / f"manifest_{command}.json").read_text())
     assert f"numerical failure: {manifest['error']}" in err
     assert manifest["outputs"] == {}  # the first iteration fails, before any trace row
 
@@ -492,6 +493,25 @@ def test_malformed_manifest_exits_2_on_check_and_is_skipped_by_provenance(
     assert str(manifest) in capsys.readouterr().err
     # provenance skips it, as it skips a spec that no manifest lists
     assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("config", [None, "[chain]\nsteps = 10\n", 5],
+                         ids=["no-config", "no-kind-or-family", "not-text"])
+def test_manifest_without_a_usable_config_is_skipped_by_provenance(tmp_path, capsys, config):
+    cfg_path = write_config(tmp_path, TINY_SCALAR.replace("iterations = 1500", "iterations = 50"))
+    out = tmp_path / "run"
+    assert main(["optimize", "--config", cfg_path, "--out", str(out)]) == 0
+    path = out / "manifest_optimize.json"
+    manifest = json.loads(path.read_text())  # still lists the spec's digest
+    if config is None:
+        del manifest["config"]
+    else:
+        manifest["config"] = config
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    # the spec is used unchecked, as one that no manifest lists
+    hot = write_config(tmp_path, TINY_SCALAR.replace("eps = 0.01", "eps = 0.5"), name="hot.ini")
+    assert main(["sample", "--config", hot, "--out", str(out)]) == 0
 
 
 def test_sample_informed_needs_fit(tmp_path, capsys):

@@ -15,7 +15,6 @@ from klgauss import (
     GaussianPotential,
     VariablePotential,
     dirichlet_precision,
-    log_density_ratio_centered,
     project_spd,
     sample_centered,
 )
@@ -190,18 +189,6 @@ def test_phi_nu_is_negative_log_density_ratio():
         u, spec.mean, dense_path_precision(ref, spec.cov.values, spec.cov.eps),
         ref.mean0, ref.h * dirichlet_precision(ref.dim))
     assert np.allclose(GaussianPotential(spec)(u), -want)
-
-
-def test_log_density_ratio_centered():
-    ref = ScalarReference()
-    num = GaussianSpec(np.zeros(1), ScalarVariance(0.5), ref)
-    den = GaussianSpec(np.zeros(1), ScalarVariance(0.8), ref)
-    u = np.array([[0.4], [1.3]])
-    want = (-0.5 / 0.25 + 0.5 / 0.64) * u[:, 0] ** 2
-    assert np.allclose(log_density_ratio_centered(num, den, u), want)
-    other = GaussianSpec(np.zeros(1), ScalarVariance(0.8), ScalarReference())
-    with pytest.raises(ValueError):
-        log_density_ratio_centered(num, other, u)
 
 
 def test_descent_direction_identity_families():

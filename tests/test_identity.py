@@ -19,7 +19,8 @@ def test_worktree_against_itself_is_equal(capsys):
     files = [line for line in lines if line.startswith("  ")]
     assert lines[0] == f"scalar: {len(files)} of {len(files)} files equal"
     assert {line.split(":")[0].strip() for line in files} == {
-        "compare.csv", "final_spec.txt", "snapshots.csv", "trace.csv"}
+        "compare.csv", "final_spec.txt", "snapshots.csv", "trace.csv",
+        "chain_diag.csv", "posterior_summary.csv", "autocov.csv"}  # the last three by sample
     assert all(line.endswith(": equal") for line in files)
 
 

@@ -55,7 +55,6 @@ def test_estimate_matches_closed_form_when_tilt_is_mild():
     want = scalar_dkl_analytic(m, sigma, eps)
     assert est.value == pytest.approx(want, rel=0.02)
     assert est.n_samples == 400_000
-    assert not est.shift_warning
     # the reported pieces add up to the reported value
     assert est.value == pytest.approx(est.discrepancy + est.mean_shift + est.log_partition)
 
@@ -74,20 +73,21 @@ def test_estimate_stderr_tracks_observed_spread():
     assert 0.3 * observed < typical < 3.0 * observed
 
 
-def test_shift_warning_fires_for_many_strongly_tilted_modes():
-    # one scalar mode can only push the half-quad exponent to ~chi^2/2, but a
-    # stiff potential tilts every node of a bridge at once; the log-partition
-    # summands then overflow the exponent budget and the estimate flags itself
-    from klgauss import BridgeReference, DiffusionProblem, VariablePotential
-
-    n = 99
-    t = np.arange(1, n + 1) / (n + 1)
-    ref = BridgeReference(n, mean0=t)
-    spec = GaussianSpec(t.copy(), VariablePotential(np.full(n, 2.0), 0.01), ref)
-    batch = sample_centered(spec, np.random.default_rng(5), 2_000)
-    est = estimate_dkl(spec, DiffusionProblem(0.01, n), batch=batch)
-    assert est.shift > 30.0
-    assert est.shift_warning
+def test_base_reweights_by_the_density_ratio():
+    # a batch drawn under base's covariance is weighted toward spec's by the
+    # normalized density ratio of the two centred fits
+    ref = ScalarReference()
+    spec = GaussianSpec(np.zeros(1), ScalarVariance(0.5), ref)
+    base = GaussianSpec(np.zeros(1), ScalarVariance(0.8), ref)
+    problem = ScalarDoubleWell(0.2)
+    u = np.array([[0.4], [1.3]])
+    ratio = np.exp((-0.5 / 0.25 + 0.5 / 0.64) * u[:, 0] ** 2)
+    est = estimate_dkl(spec, problem, batch=u, base=base)
+    want = ratio @ reduced_discrepancy(spec, problem, u) / ratio.sum()
+    assert est.discrepancy == pytest.approx(want, rel=1e-12)
+    other = GaussianSpec(np.zeros(1), ScalarVariance(0.8), ScalarReference())
+    with pytest.raises(ValueError, match="same reference"):
+        estimate_dkl(spec, problem, batch=u, base=other)
 
 
 def test_base_equal_spec_reduces_to_plain_estimate():

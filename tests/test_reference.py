@@ -59,7 +59,7 @@ def test_scalar_reference_ops():
     ref = ScalarReference()
     v = np.array([1.5])
     assert ref.inner(v, v) == pytest.approx(2.25)
-    assert ref.cm_norm_sq(v) == pytest.approx(2.25)
+    assert ref.inner(v, ref.precision_apply(v)) == pytest.approx(2.25)
     assert ref.apply_cov(v)[0] == pytest.approx(1.5)
     assert ref.precision_apply(v)[0] == pytest.approx(1.5)
     draws = ref.sample_centered(np.random.default_rng(0), 40_000)
@@ -115,7 +115,8 @@ def test_periodic_sample_covariance():
 def test_periodic_cm_norm_whitens_samples():
     ref = PeriodicReference(16, 0.5)
     draws = ref.sample_centered(np.random.default_rng(11), 100_000)
-    assert ref.cm_norm_sq(draws).mean() == pytest.approx(ref.n_modes, rel=0.02)
+    whitened = ref.inner(draws, ref.precision_apply(draws))  # |u|^2 in the Cameron-Martin norm
+    assert whitened.mean() == pytest.approx(ref.n_modes, rel=0.02)
 
 
 def test_bridge_sample_covariance_matches_kernel():
@@ -137,7 +138,7 @@ def test_bridge_cov_action_is_weighted_kernel():
 def test_bridge_cm_norm_whitens_samples():
     ref = BridgeReference(12)
     draws = ref.sample_centered(np.random.default_rng(9), 100_000)
-    assert ref.cm_norm_sq(draws).mean() == pytest.approx(12.0, rel=0.02)
+    assert ref.inner(draws, ref.precision_apply(draws)).mean() == pytest.approx(12.0, rel=0.02)
 
 
 def dense_from_banded(banded):
@@ -166,7 +167,8 @@ def test_bridge_stencil_ops_match_dense_precision(shape):
     assert np.abs(ref.apply_cov(v) - solve).max() < 1e-12
     assert np.abs(ref.precision_apply(v) - (rows @ dense).reshape(shape)).max() < 1e-9
     quad = ref.h * np.einsum("bi,ij,bj->b", rows, dense, rows)
-    assert np.allclose(ref.cm_norm_sq(v), quad.reshape(shape[:-1]), rtol=1e-12, atol=0)
+    assert np.allclose(ref.inner(v, ref.precision_apply(v)), quad.reshape(shape[:-1]),
+                       rtol=1e-12, atol=0)
 
 
 def test_bridge_mean0_handling():

@@ -7,10 +7,12 @@ Usage::
 Each side is the ``src/`` of a revision, taken with ``git archive``, or the
 working tree's own ``src/`` for ``worktree`` (the default ``--change``).
 On each of the five presets, both sides run ``klgauss compare --seed 2``
-with ``optimize.iterations = 300`` and ``chain.steps = 3000``, each in a
-fresh ``python -B`` with the BLAS pools pinned to one thread. The tool then
-prints, per file that a side's ``manifest_compare.json`` lists, whether
-the two sides wrote it equal or differing. For a file that differs it also
+with ``optimize.iterations = 300`` and ``chain.steps = 3000``, then the
+informed ``klgauss sample --seed 2`` on the fit it left in the same
+directory, each side in a fresh ``python -B`` with the BLAS pools pinned to
+one thread. The tool then prints, per file that a side's
+``manifest_compare.json`` or ``manifest_sample.json`` lists, whether the
+two sides wrote it equal or differing. For a file that differs it also
 prints the largest relative change per column of a CSV, or per entry of
 ``final_spec.txt``; a column it does not name is equal. The exit status is
 0 when every file is equal, 1 when some file differs and 2 when a side
@@ -36,7 +38,9 @@ PRESETS = ("scalar", "darcy-noise0.1", "darcy-noise0.01", "diffusion-constant",
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# one compare run: argv is SRC PRESET ITERATIONS STEPS WORKDIR
+MANIFESTS = ("manifest_compare.json", "manifest_sample.json")
+
+# one compare run and one informed sample run: argv is SRC PRESET ITERATIONS STEPS WORKDIR
 _RUN = """
 import sys
 src, preset, iterations, steps, work = sys.argv[1:]
@@ -49,8 +53,11 @@ cfg.setdefault("optimize", {})["iterations"] = int(iterations)
 cfg.setdefault("chain", {})["steps"] = int(steps)
 with open(work + "/config.ini", "w") as fh:
     fh.write(cli.canonical_config_text(cfg))
-sys.exit(cli.main(["compare", "--config", work + "/config.ini", "--seed", "2",
-                   "--out", work + "/out"]))
+for command in ("compare", "sample"):
+    code = cli.main([command, "--config", work + "/config.ini", "--seed", "2",
+                     "--out", work + "/out"])
+    if code != 0:
+        sys.exit(f"{command} exited {code}")
 """
 
 
@@ -72,15 +79,17 @@ def side_source(root: Path, rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_compare(src: Path, preset: str, iterations: int, steps: int, work: Path) -> Path:
-    """Run one ``compare`` in a fresh interpreter; returns its output directory."""
+def run_commands(src: Path, preset: str, iterations: int, steps: int, work: Path) -> Path:
+    """Run ``compare``, then ``sample`` on its fit, in a fresh interpreter;
+    returns their output directory."""
     work.mkdir(parents=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{var: "1" for var in THREAD_VARS})
     done = subprocess.run([sys.executable, "-B", "-c", _RUN, str(src.resolve()), preset,
                            str(iterations), str(steps), str(work)],
                           env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"compare on {preset} with {src} exited {done.returncode}:\n"
+        raise RuntimeError(f"compare and sample on {preset} with {src} exited "
+                           f"{done.returncode}:\n"
                            + done.stderr[-2000:])
     return work / "out"
 
@@ -126,8 +135,10 @@ def relative_changes(parent: Path, change: Path) -> dict[str, float]:
 
 
 def compare_outputs(parent: Path, change: Path) -> list[tuple[str, str]]:
-    """``(file, verdict)`` for every file either side's compare manifest lists."""
-    listed = [json.loads((out / "manifest_compare.json").read_text())["outputs"]
+    """``(file, verdict)`` for every file either side's compare or sample
+    manifest lists."""
+    listed = [{name: digest for manifest in MANIFESTS
+               for name, digest in json.loads((out / manifest).read_text())["outputs"].items()}
               for out in (parent, change)]
     verdicts = []
     for name in sorted(set(listed[0]) | set(listed[1])):
@@ -154,8 +165,8 @@ def _run(args) -> int:
         sources = {side: side_source(root, rev, tmp / side)
                    for side, rev in (("parent", args.parent), ("change", args.change))}
         for preset in args.preset or PRESETS:
-            outs = [run_compare(sources[side], preset, args.iterations, args.steps,
-                                tmp / "runs" / preset / side) for side in ("parent", "change")]
+            outs = [run_commands(sources[side], preset, args.iterations, args.steps,
+                                 tmp / "runs" / preset / side) for side in ("parent", "change")]
             verdicts = compare_outputs(*outs)
             same = sum(verdict == "equal" for _, verdict in verdicts)
             differ += len(verdicts) - same
