@@ -873,7 +873,7 @@ def _check_spd_projection() -> tuple[bool, str]:
     return worst <= 1e-12, f"worst violation {worst:.3g}"
 
 
-def cmd_check(args, cfg=None) -> int:
+def cmd_check() -> int:
     checks = [
         ("sigma-opt-closed-form", _check_sigma_opt),
         ("bridge-kernel-inverse", _check_bridge_kernel),
@@ -934,13 +934,11 @@ def main(argv: list[str] | None = None) -> int:
             if name == "sample":
                 sub.add_argument("--zero-potential", action="store_true",
                                  help="diagnostic: force the potential to zero")
-        else:
-            sub.add_argument("--seed", type=int, default=0)
         sub.set_defaults(func=fn)
 
     args = parser.parse_args(argv)
     if args.command == "check" or (args.command is None and args.check):
-        return cmd_check(args)
+        return cmd_check()
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2

@@ -10,7 +10,10 @@ where ``phi`` is the target's potential against the reference measure and
 divergence of the fit from the target splits into the expectation of
 ``delta0``, the Cameron-Martin mean-shift penalty ``(1/2) <m - m0, shift>``
 with ``shift = C0^{-1}(m - m0)``, and a log partition term of the fit; the
-first and last are estimated from a single shared batch.
+first and last are estimated from a single shared batch. One row-batched
+formula computes the estimate from those terms, for a block of batches at
+once: :func:`estimate_dkl` calls it on one batch, and the optimizer on a
+block of iterations.
 
 Gradients use the score-function form: the covariance-parameter gradient is
 the batch covariance of ``delta0`` with its per-sample parameter derivative,
@@ -19,11 +22,12 @@ and the mean gradient averages the target's field gradient, both from one
 density ratio of the perturbed fit to the one it was drawn from (see
 ``base=`` below) these are *exactly* the derivatives of
 :func:`estimate_dkl`, which is what the finite-difference tests check.
+:func:`estimate_gradients` returns the estimate's terms with the gradients,
+and computes the estimate itself only when asked for it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,17 +65,29 @@ class KLEstimate:
 
 @dataclass(frozen=True)
 class GradientPair:
-    """Raw divergence gradients from one shared batch.
+    """Raw divergence gradients from one shared batch, with the terms of the
+    batch's divergence estimate.
 
     ``mean`` is the gradient field in the flat inner product of the grid
     (pair it with a direction via ``ref.inner``); ``cov`` matches the shape
-    of the covariance parameter. ``estimate`` is the divergence estimate
-    from the same batch.
+    of the covariance parameter. ``delta0``, ``quad``, ``mean_shift`` and
+    ``weights`` are the batch's reduced discrepancies, its ``<u, Gamma u>``,
+    the mean-shift penalty and the ``(log weights, weights)`` pair: what the
+    divergence estimate is computed from. :attr:`estimate` computes it on
+    demand; the optimizer computes it for a block of iterations at a time.
     """
 
     mean: np.ndarray
     cov: np.ndarray | float
-    estimate: KLEstimate
+    delta0: np.ndarray
+    quad: np.ndarray
+    mean_shift: float
+    weights: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def estimate(self) -> KLEstimate:
+        """The divergence estimate from the same batch."""
+        return _one_estimate(self.weights, self.delta0, self.quad, self.mean_shift)
 
 
 def reduced_discrepancy(spec: GaussianSpec, problem, u: np.ndarray) -> np.ndarray:
@@ -134,42 +150,61 @@ def estimate_dkl(
     else:
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
     delta0, quad = _discrepancy(spec, problem, batch)
-    shift = spec.ref.precision_apply(spec.mean - spec.ref.mean0)
-    return _kl_estimate(spec, _normalized_weights(spec, base, batch), delta0, quad, shift)
+    diff = spec.mean - spec.ref.mean0
+    return _one_estimate(_normalized_weights(spec, base, batch), delta0, quad,
+                         _mean_shift(spec.ref, diff, spec.ref.precision_apply(diff)))
 
 
-def _kl_estimate(spec: GaussianSpec, weights: tuple[np.ndarray, np.ndarray],
-                 delta0: np.ndarray, quad: np.ndarray, shift: np.ndarray) -> KLEstimate:
-    """The divergence terms from the log weights and weights, reduced
-    discrepancies, ``<u, Gamma u>`` and the mean's shift ``C0^{-1}(m - m0)``.
+def _mean_shift(ref, diff: np.ndarray, shift: np.ndarray) -> float:
+    """The mean-shift penalty ``(1/2) <m - m0, shift>`` from ``diff = m - m0``
+    and its shift ``C0^{-1}(m - m0)``."""
+    return 0.5 * float(ref.inner(diff, shift))
 
-    ``np.log`` and ``np.hypot`` stay on the two scalars they take: they round
-    differently from ``math``'s in the last bit, and the trace keeps every bit.
+
+def _kl_estimate(weights: tuple[np.ndarray, np.ndarray], delta0: np.ndarray,
+                 quad: np.ndarray, mean_shift: float | np.ndarray) -> tuple[np.ndarray, ...]:
+    """The divergence estimates of a block of batches, one per row.
+
+    ``delta0`` and ``quad`` hold the reduced discrepancies and ``<u, Gamma u>``
+    of one batch per row, shape ``(T, B)``, all weighted by the log weights
+    and weights ``weights``; ``mean_shift`` holds each batch's mean-shift
+    penalty. Returns the discrepancy, log-partition, value and standard
+    error arrays, one entry per row.
+
+    Each row gets the bits a block of that row alone gives it: the functions
+    act elementwise or reduce along a contiguous row, and the discrepancy is
+    one dot product per row (a stack of ``(1, B) @ (B, 1)`` products), where a
+    matrix-vector product would round otherwise.
     """
     logw, w = weights
-    size = len(delta0)
-    disc = float(w @ delta0)
-    spread = delta0 - disc
-    se_disc = math.sqrt(float((w * w * (spread * spread)).sum()))
-
-    shift_term = 0.5 * float(spec.ref.inner(spec.mean - spec.ref.mean0, shift))
+    size = delta0.shape[-1]
+    disc = np.matmul(delta0[:, None, :], w[:, None])[:, 0, 0]
+    spread = delta0 - disc[:, None]
+    se_disc = np.sqrt((w * w * (spread * spread)).sum(axis=-1))
 
     g = 0.5 * quad + logw
-    gmax = float(g.max())
-    r = np.exp(g - gmax)
-    total = float(r.sum())
-    log_partition = gmax + float(np.log(total))
+    gmax = g.max(axis=-1)
+    r = np.exp(g - gmax[:, None])
+    total = r.sum(axis=-1)
+    log_partition = gmax + np.log(total)
     # delta-method spread of log sum exp(g): relative spread of the summands
-    rel = r / total - 1.0 / size
-    se_lp = math.sqrt(float((rel * rel).sum()))
+    rel = r / total[:, None] - 1.0 / size
+    se_lp = np.sqrt((rel * rel).sum(axis=-1))
+    return disc, log_partition, disc + mean_shift + log_partition, np.hypot(se_disc, se_lp)
 
+
+def _one_estimate(weights: tuple[np.ndarray, np.ndarray], delta0: np.ndarray,
+                  quad: np.ndarray, mean_shift: float) -> KLEstimate:
+    """:func:`_kl_estimate` of one batch, as a :class:`KLEstimate`."""
+    disc, log_partition, value, stderr = _kl_estimate(weights, delta0[None], quad[None],
+                                                      mean_shift)
     return KLEstimate(
-        value=disc + shift_term + log_partition,
-        discrepancy=disc,
-        mean_shift=shift_term,
-        log_partition=log_partition,
-        stderr=float(np.hypot(se_disc, se_lp)),
-        n_samples=size,
+        value=float(value[0]),
+        discrepancy=float(disc[0]),
+        mean_shift=mean_shift,
+        log_partition=float(log_partition[0]),
+        stderr=float(stderr[0]),
+        n_samples=delta0.shape[-1],
     )
 
 
@@ -182,8 +217,10 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray,
     field; the covariance gradient is the batch covariance (1/M
     normalization) of the reduced discrepancy with its per-sample parameter
     derivative. Both are exact derivatives of :func:`estimate_dkl` on the
-    same frozen batch (the covariance one under ``base=`` reweighting),
-    whose value on this batch comes along from the same ``phi`` evaluation.
+    same frozen batch (the covariance one under ``base=`` reweighting).
+    The terms of that estimate on this batch come along from the same
+    ``phi`` evaluation; the pair's :attr:`~GradientPair.estimate` computes
+    it from them.
 
     The target is evaluated once, on the shifted batch, by the problem's
     ``phi_and_grad``.
@@ -205,7 +242,8 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray,
         weights = uniform_weights(size)
     fields = batch + spec.mean
     phi, grad = problem.phi_and_grad(fields)
-    shift = ref.precision_apply(spec.mean - ref.mean0)
+    diff = spec.mean - ref.mean0
+    shift = ref.precision_apply(diff)
     m_field = grad.sum(axis=0) / size + shift
 
     quad = cov.quad_coords(ref, coords)
@@ -221,7 +259,10 @@ def estimate_gradients(spec: GaussianSpec, problem, batch: np.ndarray,
     return GradientPair(
         mean=m_field,
         cov=cov_term,
-        estimate=_kl_estimate(spec, weights, delta0, quad, shift),
+        delta0=delta0,
+        quad=quad,
+        mean_shift=_mean_shift(ref, diff, shift),
+        weights=weights,
     )
 
 

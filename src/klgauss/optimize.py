@@ -19,6 +19,18 @@ periodic grid an iteration therefore transforms the batch once (its
 synthesis) and eigendecomposes the factor once (its clamp). The batch's
 uniform weights depend only on the batch size and are built once per fit.
 
+The descent step reads only the gradients, so the divergence estimate and
+its standard error, which go to the trace and to the non-finite stop, are
+computed for a block of iterations at a time: the loop keeps each
+iteration's reduced discrepancies, ``<u, Gamma u>`` row and mean-shift term,
+and one row-batched call turns them into the block's estimates when the
+block is full and once at the end. Each row carries the bits a one-row call
+gives it. A non-finite estimate stops the fit at its own iteration, with the
+trace cut back to the rows and snapshots before it, as if each iteration
+had checked its estimate before its update; any other error from the loop
+first computes the pending estimates, so an earlier non-finite estimate is
+the error raised.
+
 On small batches an iteration is mostly Python bookkeeping, so the loop and
 the functions it calls use array methods (``x.sum()``, ``x.any()``) and
 ``math`` on plain floats rather than numpy's module-level wrappers
@@ -29,13 +41,13 @@ several Python calls per use. They give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteObjectiveError
 from .gaussians import GaussianSpec, project_box
-from .objective import estimate_gradients, uniform_weights
+from .objective import _kl_estimate, estimate_gradients, uniform_weights
 
 __all__ = [
     "StepSchedule",
@@ -43,6 +55,12 @@ __all__ = [
     "RMTrace",
     "rm_minimize",
 ]
+
+# most reduced-discrepancy and <u, Gamma u> values held for one block of
+# divergence estimates: each of the two stays at 64 KB, below glibc's 128 KB
+# mmap threshold, so the block's temporaries reuse heap memory instead of
+# faulting in fresh pages at every flush
+_PENDING_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -102,11 +120,11 @@ class RMTrace:
     snapshot_means: list[np.ndarray] = field(default_factory=list)
     snapshot_covs: list[np.ndarray] = field(default_factory=list)
 
-    def record(self, n: int, a_n: float, est, spec: GaussianSpec, proj: int) -> None:
+    def record(self, n: int, a_n: float, spec: GaussianSpec, proj: int) -> None:
+        """Append one iteration's row except its divergence estimate, which
+        ``_PendingEstimates.flush`` appends."""
         self.steps.append(n)
         self.step_sizes.append(a_n)
-        self.dkl.append(est.value)
-        self.dkl_stderr.append(est.stderr)
         self.mean_norm.append(math.sqrt(float(spec.ref.inner(spec.mean, spec.mean))))
         self.cov_summary.append(spec.cov.summary)
         self.proj_active.append(proj)
@@ -117,12 +135,70 @@ class RMTrace:
         self.snapshot_covs.append(np.atleast_1d(np.asarray(spec.cov.theta,
                                                            dtype=float)).ravel().copy())
 
+    def cut(self, n: int) -> None:
+        """Drop the rows of iteration ``n`` on and the snapshots taken from ``n`` on."""
+        for rows in (self.steps, self.step_sizes, self.dkl, self.dkl_stderr,
+                     self.mean_norm, self.cov_summary, self.proj_active):
+            del rows[n - 1:]
+        kept = sum(step < n for step in self.snapshot_steps)
+        for snaps in (self.snapshot_steps, self.snapshot_means, self.snapshot_covs):
+            del snaps[kept:]
+
 
 def _nonfinite(what: str, n: int, trace: RMTrace) -> NonFiniteObjectiveError:
     exc = NonFiniteObjectiveError(f"{what} became non-finite at iteration {n}")
     exc.trace = trace
     exc.iteration = n
     return exc
+
+
+class _PendingEstimates:
+    """The terms of the divergence estimates not yet in the trace.
+
+    The descent step reads only the gradients, so the loop keeps each
+    iteration's reduced discrepancies, ``<u, Gamma u>`` row and mean-shift
+    term, and :meth:`flush` computes the estimates of up to ``capacity``
+    iterations with one row-batched call.
+    """
+
+    def __init__(self, batch_size: int, weights: tuple[np.ndarray, np.ndarray]) -> None:
+        self.capacity = max(1, _PENDING_ELEMENTS // (2 * batch_size))
+        self.weights = weights
+        self.delta0: list[np.ndarray] = []
+        self.quad: list[np.ndarray] = []
+        self.mean_shift: list[float] = []
+
+    def add(self, grads) -> bool:
+        """Keep one iteration's terms; true when the block is full."""
+        self.delta0.append(grads.delta0)
+        self.quad.append(grads.quad)
+        self.mean_shift.append(grads.mean_shift)
+        return len(self.delta0) == self.capacity
+
+    def flush(self, trace: RMTrace) -> None:
+        """Append the estimates of the recorded iterations to ``trace``.
+
+        The pending rows follow the trace's last estimate; a row past its
+        last recorded iteration belongs to an iteration that failed. If an
+        estimate is non-finite, cut the trace back to the iterations before
+        the first such one and raise its error.
+        """
+        if not self.delta0:
+            return
+        _, _, value, stderr = _kl_estimate(self.weights, np.array(self.delta0),
+                                           np.array(self.quad), np.array(self.mean_shift))
+        first = len(trace.dkl) + 1
+        self.delta0, self.quad, self.mean_shift = [], [], []
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            n = first + int(bad[0])
+            trace.cut(n)
+            trace.dkl.extend(value[:n - first].tolist())
+            trace.dkl_stderr.extend(stderr[:n - first].tolist())
+            raise _nonfinite("divergence estimate", n, trace)
+        recorded = len(trace.steps) - len(trace.dkl)
+        trace.dkl.extend(value[:recorded].tolist())
+        trace.dkl_stderr.extend(stderr[:recorded].tolist())
 
 
 def rm_minimize(
@@ -142,27 +218,40 @@ def rm_minimize(
     m_lo, m_hi = config.mean_bounds
     c_lo, c_hi = config.cov_bounds
     weights = uniform_weights(config.batch_size)
+    pending = _PendingEstimates(config.batch_size, weights)
     trace.snapshot(0, spec)
     # a non-finite estimate or update raises below: numpy need not warn of
     # the overflow behind it
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, config.iterations + 1):
-            batch, coords = spec.cov.draw(spec.ref, rng, config.batch_size)
-            grads = estimate_gradients(spec, problem, batch, coords, weights)
-            if not math.isfinite(grads.estimate.value):
-                raise _nonfinite("divergence estimate", n, trace)
-            a_n = config.schedule.step_at(n)
+        try:
+            for n in range(1, config.iterations + 1):
+                batch, coords = spec.cov.draw(spec.ref, rng, config.batch_size)
+                grads = estimate_gradients(spec, problem, batch, coords, weights)
+                full = pending.add(grads)
+                a_n = config.schedule.step_at(n)
 
-            raw_mean = spec.mean - a_n * spec.ref.apply_cov(grads.mean)
-            raw_cov = spec.cov.theta - a_n * np.asarray(spec.cov.precondition(spec.ref, grads.cov))
-            if not (np.isfinite(raw_mean).all() and np.isfinite(raw_cov).all()):
-                raise _nonfinite("parameter update", n, trace)
-            new_mean, mean_active = project_box(raw_mean, m_lo, m_hi)
-            new_cov, cov_active = spec.cov.project(raw_cov, c_lo, c_hi)
+                raw_mean = spec.mean - a_n * spec.ref.apply_cov(grads.mean)
+                cov_step = np.asarray(spec.cov.precondition(spec.ref, grads.cov))
+                raw_cov = spec.cov.theta - a_n * cov_step
+                if not (np.isfinite(raw_mean).all()
+                        and (np.isfinite(raw_cov).all() if raw_cov.ndim
+                             else math.isfinite(raw_cov))):
+                    raise _nonfinite("parameter update", n, trace)
+                new_mean, mean_active = project_box(raw_mean, m_lo, m_hi)
+                new_cov, cov_active = spec.cov.project(raw_cov, c_lo, c_hi)
 
-            proj = (1 if mean_active else 0) | (2 if cov_active else 0)
-            trace.record(n, a_n, grads.estimate, spec, proj)
-            spec = replace(spec, mean=new_mean, cov=new_cov)
-            if n % config.snapshot_every == 0 or n == config.iterations:
-                trace.snapshot(n, spec)
+                proj = (1 if mean_active else 0) | (2 if cov_active else 0)
+                trace.record(n, a_n, spec, proj)
+                spec = GaussianSpec(new_mean, new_cov, spec.ref)
+                if n % config.snapshot_every == 0 or n == config.iterations:
+                    trace.snapshot(n, spec)
+                if full:
+                    pending.flush(trace)
+            pending.flush(trace)
+        except Exception:
+            # an iteration checks its estimate before its update, so an
+            # estimate that went non-finite by the failing iteration raises
+            # in place of the error
+            pending.flush(trace)
+            raise
     return spec, trace

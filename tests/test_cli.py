@@ -663,6 +663,15 @@ def test_check_battery(capsys):
     assert "FAIL" not in out
 
 
+def test_check_takes_no_seed(capsys):
+    # the battery's seeds are its own; argparse refuses the option as unknown
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["check"]) == 0
+
+
 TINY_DIFFUSION = """\
 [problem]
 kind = diffusion

@@ -1,8 +1,11 @@
 """Projected stochastic descent: schedules, projections, convergence."""
 
+import math
+
 import numpy as np
 import pytest
 
+from klgauss import optimize
 from klgauss import (
     BridgeReference,
     DarcyProblem,
@@ -17,6 +20,7 @@ from klgauss import (
     ScalarVariance,
     StepSchedule,
     VariablePotential,
+    estimate_gradients,
     project_box,
     project_spd,
     rm_minimize,
@@ -247,3 +251,114 @@ def test_rm_finite_rank_negative_spectrum_bound_is_not_a_covariance():
                        mean_bounds=(-5, 5), cov_bounds=(-1.0, 1.0))
     with pytest.raises(NotACovarianceError):
         rm_minimize(spec0, problem, cfg, np.random.default_rng(8))
+
+
+class _TurnsNonFinite:
+    """Target that is zero until its ``k``-th evaluation, counted from 1.
+
+    ``how = "nan"`` returns a NaN potential from then on, so the estimate
+    and the update both turn non-finite at iteration ``k``. ``how = "jump"``
+    returns a gradient of -1e201 at evaluation ``k - 1`` and zero otherwise:
+    the update throws the mean to about 1e200, where the estimate's
+    mean-shift term overflows at iteration ``k`` while every update stays
+    finite, so the fit runs on past ``k``.
+    """
+
+    dim = 1
+
+    def __init__(self, k, how):
+        self.k, self.how, self.calls = k, how, 0
+
+    def phi_and_grad(self, fields):
+        self.calls += 1
+        phi, grad = np.zeros(fields.shape[0]), np.zeros_like(fields)
+        if self.how == "nan" and self.calls >= self.k:
+            phi[:] = np.nan
+        if self.how == "jump" and self.calls == self.k - 1:
+            grad[:] = -1e201
+        return phi, grad
+
+
+_TRACE_LISTS = ("steps", "step_sizes", "dkl", "dkl_stderr", "mean_norm",
+                "cov_summary", "proj_active")
+
+
+def _small_estimate_blocks(monkeypatch, rows, batch_size, raising=True):
+    """Let the optimizer hold ``rows`` iterations' estimate inputs per block."""
+    monkeypatch.setattr(optimize, "_PENDING_ELEMENTS", rows * 2 * batch_size,
+                        raising=raising)
+
+
+@pytest.mark.parametrize("family", ["scalar", "finite-rank"])
+def test_rm_trace_estimates_equal_those_of_each_batch(monkeypatch, family):
+    # two full 7-row blocks of estimates and a last one of 3 rows
+    batch_size, iterations = 20, 17
+    _small_estimate_blocks(monkeypatch, 7, batch_size)
+    if family == "scalar":
+        spec0 = GaussianSpec(np.array([0.2]), ScalarVariance(0.6), ScalarReference())
+        problem, bounds = ScalarDoubleWell(0.05), {}
+    else:
+        spec0, problem = _small_darcy()
+        bounds = {"mean_bounds": (-5, 5), "cov_bounds": (1e-4, 1.0)}
+    specs = []
+
+    def capturing(spec, *args):
+        specs.append(spec)
+        return estimate_gradients(spec, *args)
+
+    monkeypatch.setattr(optimize, "estimate_gradients", capturing)
+    _, trace = rm_minimize(spec0, problem,
+                           small_config(iterations=iterations, batch_size=batch_size, **bounds),
+                           np.random.default_rng(12))
+    assert len(specs) == iterations
+    # each iteration's batch again, from the replayed generator
+    rng = np.random.default_rng(12)
+    want = [estimate_gradients(spec, problem, *spec.cov.draw(spec.ref, rng, batch_size)).estimate
+            for spec in specs]
+    assert np.array_equal(trace.dkl, [est.value for est in want])
+    assert np.array_equal(trace.dkl_stderr, [est.stderr for est in want])
+    assert np.array_equal(trace.mean_norm,
+                          [math.sqrt(float(s.ref.inner(s.mean, s.mean))) for s in specs])
+
+
+@pytest.mark.parametrize("how", ["nan", "jump"])
+@pytest.mark.parametrize("k", [5, 11])  # inside the first 8-row block, and 3 rows into the second
+def test_rm_nonfinite_estimate_stops_at_its_iteration(monkeypatch, k, how):
+    # the same stop holds for a fit that checks each estimate as it goes,
+    # with no blocks and no block size to set
+    _small_estimate_blocks(monkeypatch, 8, 20, raising=False)
+    spec0 = GaussianSpec(np.array([0.0]), ScalarVariance(0.5), ScalarReference())
+    cfg = small_config(iterations=30, batch_size=20, snapshot_every=3,
+                       mean_bounds=(-1e300, 1e300), cov_bounds=(0.1, 1.0))
+    with pytest.raises(NonFiniteObjectiveError) as info:
+        rm_minimize(spec0, _TurnsNonFinite(k, how), cfg, np.random.default_rng(9))
+    exc = info.value
+    assert str(exc) == f"divergence estimate became non-finite at iteration {k}"
+    assert exc.iteration == k
+    assert {name: len(getattr(exc.trace, name)) for name in _TRACE_LISTS} == dict.fromkeys(
+        _TRACE_LISTS, k - 1)
+    assert exc.trace.steps == list(range(1, k))
+    assert np.isfinite(exc.trace.dkl).all()
+    assert exc.trace.snapshot_steps == list(range(0, k, 3))
+    assert len(exc.trace.snapshot_means) == len(exc.trace.snapshot_covs) == len(range(0, k, 3))
+
+
+class _Flat:
+    """Zero potential with zero gradient."""
+
+    dim = 1
+
+    def phi_and_grad(self, fields):
+        return np.zeros(fields.shape[0]), np.zeros_like(fields)
+
+
+def test_rm_overflowing_mean_shift_with_finite_update_stops_at_iteration_1():
+    # (1/2) |m|^2 overflows at m = 1e200, while the step from there stays finite
+    spec0 = GaussianSpec(np.array([1e200]), ScalarVariance(0.5), ScalarReference())
+    cfg = small_config(iterations=10, mean_bounds=(-1e300, 1e300), cov_bounds=(0.1, 1.0))
+    with pytest.raises(NonFiniteObjectiveError,
+                       match="divergence estimate became non-finite at iteration 1") as info:
+        rm_minimize(spec0, _Flat(), cfg, np.random.default_rng(10))
+    assert info.value.iteration == 1
+    assert all(getattr(info.value.trace, name) == [] for name in _TRACE_LISTS)
+    assert info.value.trace.snapshot_steps == [0]
