@@ -1,12 +1,12 @@
-"""The three structured Gaussian samplers and their exact covariances.
+"""The structured Gaussian samplers and their exact covariances.
 
 Every covariance family in the package has a sampler that avoids dense
 factorizations: a spectral sampler for low-rank updates of a diagonal mode
 covariance, and a banded-Cholesky sampler of the tridiagonal precision for
-bridges with constant or varying curvature. The exact Ornstein-Uhlenbeck
-recursion, which shares no code with the banded sampler, checks it on a
-constant curvature. Each is checked here against its closed-form
-covariance. Runs in a few seconds.
+bridges with constant or varying curvature. Each is checked here against
+the dense precision solve or the closed-form mode covariance; on a constant
+curvature the bridge's midpoint variance is also checked against its closed
+form ``2 sinh(at) sinh(a(1-t)) / (a sinh a)``. Runs in a few seconds.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from klgauss import (
     VariablePotential,
     dirichlet_precision,
     sample_centered,
-    sample_ou_bridge,
 )
 
 DRAWS = 200_000
@@ -58,18 +57,19 @@ print(f"  relative Frobenius error of the sample covariance: "
       f"{rel_fro(empirical_cov(draws), exact):.4f}")
 print()
 
-# -- OU recursion: bridge with constant curvature ----------------------------
+# -- banded Cholesky sampler: bridge with constant curvature ------------------
 bref = BridgeReference(24)
 strength, eps = 4.0, 0.4
-ou_draws = sample_ou_bridge(strength, eps, 24, np.random.default_rng(32), DRAWS)
+cp_spec = GaussianSpec(bref.mean0.copy(), ConstantPotential(strength, eps), bref)
+cp_cov = empirical_cov(sample_centered(cp_spec, np.random.default_rng(32), DRAWS))
 exact_const = np.linalg.inv(dense_path_precision(24, strength, eps))
-print("Ornstein-Uhlenbeck bridge recursion (constant curvature):")
+print("banded-Cholesky bridge sampler (constant curvature):")
 print(f"  relative Frobenius error vs dense precision solve: "
-      f"{rel_fro(empirical_cov(ou_draws), exact_const):.4f}")
+      f"{rel_fro(cp_cov, exact_const):.4f}")
 a = np.sqrt(strength) / eps
 mid = bref.t[12]
 analytic_mid = 2.0 * np.sinh(a * mid) * np.sinh(a * (1 - mid)) / (a * np.sinh(a))
-print(f"  midpoint variance {empirical_cov(ou_draws)[12, 12]:.5f}, "
+print(f"  midpoint variance {cp_cov[12, 12]:.5f}, "
       f"closed form 2 sinh(at) sinh(a(1-t)) / (a sinh a) = {analytic_mid:.5f}")
 print()
 
@@ -81,11 +81,3 @@ exact_var = np.linalg.inv(dense_path_precision(24, b, 0.35))
 print("banded-Cholesky bridge sampler (varying curvature):")
 print(f"  relative Frobenius error vs dense precision solve: "
       f"{rel_fro(empirical_cov(vp_draws), exact_var):.4f}")
-print()
-
-# -- consistency: both bridge samplers on the same constant curvature --------
-cp_spec = GaussianSpec(bref.mean0.copy(), ConstantPotential(strength, eps), bref)
-cp_draws = sample_centered(cp_spec, np.random.default_rng(34), DRAWS)
-print("cross-check on a shared constant-curvature target:")
-print(f"  OU recursion vs banded Cholesky sample covariances differ by "
-      f"{rel_fro(empirical_cov(cp_draws), empirical_cov(ou_draws)):.4f}")

@@ -35,8 +35,6 @@ from .gaussians import (
 from .mcmc import (
     ChainConfig,
     ChainDiag,
-    acceptance_lower_bound,
-    expected_acceptance,
     fit_chain,
     iact,
     autocovariance,
@@ -48,15 +46,11 @@ from .objective import (
     KLEstimate,
     estimate_dkl,
     estimate_gradients,
-    reduced_discrepancy,
     scalar_acceptance_asymptote,
     scalar_dkl_analytic,
     scalar_sigma_opt,
 )
-from .sampling import (
-    sample_ou_bridge,
-    sample_tridiagonal_precision,
-)
+from .sampling import sample_tridiagonal_precision
 from .optimize import (
     RMConfig,
     RMTrace,
@@ -68,7 +62,6 @@ from .problems import (
     DiffusionProblem,
     ScalarDoubleWell,
     darcy_true_field,
-    sample_double_well,
     synthesize_darcy_data,
 )
 from .reference import (
@@ -77,7 +70,6 @@ from .reference import (
     ScalarReference,
     dirichlet_precision,
     fourier_eigenvalues,
-    fourier_mode,
 )
 
 __version__ = "0.1.0"
@@ -104,27 +96,21 @@ __all__ = [
     "ScalarVariance",
     "StepSchedule",
     "VariablePotential",
-    "acceptance_lower_bound",
     "autocovariance",
     "darcy_true_field",
     "dirichlet_precision",
     "estimate_dkl",
     "estimate_gradients",
-    "expected_acceptance",
     "fit_chain",
     "fourier_eigenvalues",
-    "fourier_mode",
     "iact",
     "project_box",
     "project_spd",
-    "reduced_discrepancy",
     "reference_chain",
     "rm_minimize",
     "run_chain",
     "sample_centered",
-    "sample_double_well",
     "sample_finite_rank",
-    "sample_ou_bridge",
     "sample_tridiagonal_precision",
     "scalar_acceptance_asymptote",
     "scalar_dkl_analytic",

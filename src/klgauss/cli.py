@@ -56,6 +56,7 @@ import numpy as np
 from .errors import NonFiniteObjectiveError, NotACovarianceError
 from .gaussians import (
     FAMILIES,
+    REFERENCES,
     ConstantPotential,
     FiniteRank,
     GaussianSpec,
@@ -414,19 +415,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def save_gaussian_spec(path: Path, spec: GaussianSpec) -> None:
     """Write a fit as restartable ``key = value`` text (gaussian-spec.v1)."""
     lines = [f"format = {SPEC_FORMAT}"]
-    ref = spec.ref
-    if isinstance(ref, ScalarReference):
-        lines.append("reference = scalar")
-    elif isinstance(ref, PeriodicReference):
-        lines.append("reference = periodic")
-        lines.append(f"n = {ref.n}")
-        lines.append(f"scale = {_fmt(ref.scale)}")
-    else:
-        lines.append("reference = bridge")
-        lines.append(f"n = {ref.n}")
-        lines.append(f"mean0 = {_fmt(ref.mean0)}")
-    lines.append(f"family = {spec.cov.spec_name}")
-    lines += [f"{key} = {_fmt(value)}" for key, value in spec.cov.spec_fields().items()]
+    for kind, part in (("reference", spec.ref), ("family", spec.cov)):
+        lines.append(f"{kind} = {part.spec_name}")
+        lines += [f"{key} = {_fmt(value)}" for key, value in part.spec_fields().items()]
     lines.append(f"mean = {_fmt(spec.mean)}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -454,24 +445,16 @@ def load_gaussian_spec(path: Path) -> GaussianSpec:
         if not np.isfinite(numbers).all():
             raise ValueError(f"{path} has a non-finite {key} entry")
 
-    def vec(key: str) -> np.ndarray:
-        return np.array(_float_list(fields[key]))
-
     try:
-        refkind = fields["reference"]
-        if refkind == "scalar":
-            ref = ScalarReference()
-        elif refkind == "periodic":
-            ref = PeriodicReference(int(fields["n"]), float(fields["scale"]))
-        elif refkind == "bridge":
-            mean0 = vec("mean0") if "mean0" in fields else None
-            ref = BridgeReference(int(fields["n"]), mean0=mean0)
-        else:
-            raise ValueError(f"unknown reference kind {refkind!r} in {path}")
+        reference = REFERENCES.get(fields["reference"])
+        if reference is None:
+            raise ValueError(f"unknown reference kind {fields['reference']!r} in {path}")
+        ref = reference.from_spec_fields(fields)
         family = FAMILIES.get(fields["family"])
         if family is None:
             raise ValueError(f"unknown family {fields['family']!r} in {path}")
-        return GaussianSpec(mean=vec("mean"), cov=family.from_spec_fields(fields), ref=ref)
+        return GaussianSpec(mean=np.array(_float_list(fields["mean"])),
+                            cov=family.from_spec_fields(fields), ref=ref)
     except KeyError as exc:
         raise ValueError(f"{path} has no {exc.args[0]} entry") from exc
 

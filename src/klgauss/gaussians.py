@@ -30,7 +30,7 @@ from typing import Union, get_args
 import numpy as np
 
 from .errors import NotACovarianceError
-from .reference import BridgeReference, PeriodicReference, ScalarReference
+from .reference import BridgeReference, PeriodicReference, ScalarReference, _vector
 from .sampling import sample_tridiagonal_precision
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "VariablePotential",
     "CovParam",
     "FAMILIES",
+    "REFERENCES",
     "GaussianSpec",
     "sample_centered",
     "project_box",
@@ -85,10 +86,6 @@ def _clamp_spectrum(matrix: np.ndarray, lo: float, hi: float):
     clipped = np.minimum(np.maximum(vals, lo), hi)  # np.clip without its wrapper
     out = (vecs * clipped) @ vecs.T
     return 0.5 * (out + out.T), clipped, vecs
-
-
-def _vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
 
 
 class _Family:
@@ -435,6 +432,8 @@ class VariablePotential(_Potential):
 CovParam = Union[ScalarVariance, FiniteRank, ConstantPotential, VariablePotential]
 
 FAMILIES: dict[str, type] = {cls.spec_name: cls for cls in get_args(CovParam)}
+REFERENCES: dict[str, type] = {cls.reference.spec_name: cls.reference
+                               for cls in get_args(CovParam)}
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,6 @@ __all__ = [
     "fit_chain",
     "autocovariance",
     "iact",
-    "expected_acceptance",
-    "acceptance_lower_bound",
 ]
 
 _CHUNK = 8192  # most innovation rows drawn at once
@@ -522,22 +520,3 @@ def iact(series: np.ndarray, max_lag: int = 100) -> float:
             break
         total += rho[k]
     return 1.0 + 2.0 * total
-
-
-def expected_acceptance(log_ratios: np.ndarray) -> float:
-    """Monte Carlo mean of ``min(1, exp(Y))`` from log-ratio samples."""
-    y = np.asarray(log_ratios, dtype=float)
-    return float(np.mean(np.exp(np.minimum(y, 0.0))))
-
-
-def acceptance_lower_bound(log_ratios: np.ndarray, gamma: float) -> float:
-    """Lower bound ``exp(-gamma) (1 - E|Y|/gamma)`` on the mean acceptance.
-
-    Valid for any ``gamma > 0`` whenever the log acceptance ratio ``Y``
-    has ``E[Y] >= 0`` under proposal-from-target sampling; tight as the
-    fit approaches the target (``E|Y| -> 0``).
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    y = np.asarray(log_ratios, dtype=float)
-    return float(np.exp(-gamma) * (1.0 - np.mean(np.abs(y)) / gamma))

@@ -10,10 +10,11 @@ where ``phi`` is the target's potential against the reference measure and
 divergence of the fit from the target splits into the expectation of
 ``delta0``, the Cameron-Martin mean-shift penalty ``(1/2) <m - m0, shift>``
 with ``shift = C0^{-1}(m - m0)``, and a log partition term of the fit; the
-first and last are estimated from a single shared batch. One row-batched
-formula computes the estimate from those terms, for a block of batches at
-once: :func:`estimate_dkl` calls it on one batch, and the optimizer on a
-block of iterations.
+first and last are estimated from a single shared batch. One path reads
+those terms off a batch, :func:`estimate_gradients`; :func:`estimate_dkl` is
+the estimate it makes. One row-batched formula computes the estimate from
+the terms, for a block of batches at once: on one batch for
+:func:`estimate_dkl`, and on a block of iterations for the optimizer.
 
 Gradients use the score-function form: the covariance-parameter gradient is
 the batch covariance of ``delta0`` with its per-sample parameter derivative,
@@ -37,7 +38,6 @@ from .gaussians import GaussianSpec, sample_centered
 __all__ = [
     "KLEstimate",
     "GradientPair",
-    "reduced_discrepancy",
     "estimate_dkl",
     "estimate_gradients",
     "uniform_weights",
@@ -90,17 +90,6 @@ class GradientPair:
         return _one_estimate(self.weights, self.delta0, self.quad, self.mean_shift)
 
 
-def reduced_discrepancy(spec: GaussianSpec, problem, u: np.ndarray) -> np.ndarray:
-    """``phi(u + m) - (1/2) <u, Gamma u>`` for centred rows ``u``."""
-    return _discrepancy(spec, problem, np.asarray(u, dtype=float))[0]
-
-
-def _discrepancy(spec: GaussianSpec, problem, u: np.ndarray):
-    """Reduced discrepancies of the rows of ``u`` and their ``<u, Gamma u>``."""
-    quad = spec.cov.quad(spec.ref, u)
-    return problem.phi(u + spec.mean) - 0.5 * quad, quad
-
-
 def uniform_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Log weights and weights of a batch of ``size`` equally weighted rows.
 
@@ -142,6 +131,7 @@ def estimate_dkl(
     different covariance, pass that fit as ``base``: the batch is then
     importance-reweighted to the current one, which keeps the estimate a
     smooth function of the covariance parameter on a fixed batch.
+    The estimate is the one :func:`estimate_gradients` makes on the batch.
     """
     if batch is None:
         if n_samples is None or rng is None:
@@ -149,10 +139,8 @@ def estimate_dkl(
         batch = sample_centered(spec, rng, n_samples)
     else:
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    delta0, quad = _discrepancy(spec, problem, batch)
-    diff = spec.mean - spec.ref.mean0
-    return _one_estimate(_normalized_weights(spec, base, batch), delta0, quad,
-                         _mean_shift(spec.ref, diff, spec.ref.precision_apply(diff)))
+    weights = _normalized_weights(spec, base, batch)
+    return estimate_gradients(spec, problem, batch, weights=weights).estimate
 
 
 def _mean_shift(ref, diff: np.ndarray, shift: np.ndarray) -> float:

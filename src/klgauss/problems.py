@@ -4,7 +4,9 @@ Each problem defines ``phi(fields)`` (batched potential) and
 ``phi_and_grad(fields)``, which returns the potential (bit for bit ``phi``)
 and its gradient from one pass over the batch: the fit needs both on every batch,
 the chains only ``phi``. ``grad_phi(fields)`` is defined once, on the
-shared base class, as the gradient ``phi_and_grad`` returns.
+shared base class, as the gradient ``phi_and_grad`` returns; the benchmark's
+checks call it. A problem is its potential only: no command draws from a
+target directly.
 Gradients follow the package convention: they are fields paired with
 directions through the weighted grid inner product ``ref.inner``, so every
 quadrature weight is baked in and directional derivatives match finite
@@ -17,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "ScalarDoubleWell",
-    "sample_double_well",
     "DarcyProblem",
     "synthesize_darcy_data",
     "darcy_true_field",
@@ -60,27 +61,6 @@ class ScalarDoubleWell(_Problem):
     def _phi(self, x2: np.ndarray) -> np.ndarray:
         half = 0.5 * x2
         return (x2 * x2 + half) / self.eps - half
-
-
-def sample_double_well(eps: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Exact draws from the double-well target by rejection from ``N(0, eps)``.
-
-    The envelope density differs from the target by the factor
-    ``exp(-x^4/eps) <= 1``, which at small temperature accepts nearly
-    everything (about 97% at ``eps = 0.01``).
-    """
-    if not eps > 0:
-        raise ValueError(f"temperature must be positive, got {eps}")
-    out = np.empty(size)
-    got = 0
-    while got < size:
-        ask = max(1024, int(1.1 * (size - got)))
-        x = rng.normal(0.0, np.sqrt(eps), ask)
-        keep = x[rng.random(ask) < np.exp(-(x**4) / eps)]
-        take = min(keep.size, size - got)
-        out[got: got + take] = keep[:take]
-        got += take
-    return out
 
 
 # ---------------------------------------------------------------------------

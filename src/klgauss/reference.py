@@ -7,7 +7,8 @@ Three reference families cover everything this package ships:
   dimension-agnostic).
 * :class:`PeriodicReference` -- a mean-zero stationary Gaussian field on
   the unit circle, diagonal in the real Fourier basis with variances
-  ``delta / (2 pi k)**2`` for wavenumber ``k``.
+  ``scale / (2 pi k)**2`` for wavenumber ``k``, every wavenumber below the
+  grid's Nyquist one kept.
 * :class:`BridgeReference` -- a Gaussian on paths pinned to zero at both
   ends of [0, 1] whose precision operator is ``-(1/2) d^2/dt^2``,
   discretised by centred differences on the interior nodes; its banded
@@ -19,6 +20,9 @@ application of the covariance operator and of its inverse to a field, and
 the grid inner product that makes discrete gradients exact adjoints of
 discrete objectives. The Cameron-Martin norm ``|v|^2_{C0}`` is
 ``inner(v, precision_apply(v))``; nothing computes it another way.
+Each reference also owns its spec-file entries, as the covariance families
+do: ``spec_name`` is its ``reference`` entry, ``spec_fields()`` the entries
+after it, in order, and ``from_spec_fields(fields)`` builds it back from them.
 """
 
 from __future__ import annotations
@@ -32,9 +36,12 @@ __all__ = [
     "PeriodicReference",
     "BridgeReference",
     "fourier_eigenvalues",
-    "fourier_mode",
     "dirichlet_precision",
 ]
+
+
+def _vector(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")])
 
 
 def fourier_eigenvalues(n_modes: int, scale: float) -> np.ndarray:
@@ -50,21 +57,6 @@ def fourier_eigenvalues(n_modes: int, scale: float) -> np.ndarray:
     m = np.arange(1, n_modes + 1)
     k = (m + 1) // 2
     return scale / (2.0 * np.pi * k) ** 2
-
-
-def fourier_mode(mode: int, x: np.ndarray) -> np.ndarray:
-    """Evaluate the ``mode``-th orthonormal Fourier basis function on ``x``.
-
-    ``sqrt(2) sin(2 pi k x)`` for odd mode numbers, ``sqrt(2) cos(2 pi k x)``
-    for even ones, with ``k = ceil(mode / 2)``.
-    """
-    if mode < 1:
-        raise ValueError(f"mode numbers start at 1, got {mode}")
-    k = (mode + 1) // 2
-    phase = 2.0 * np.pi * k * np.asarray(x)
-    if mode % 2 == 1:
-        return np.sqrt(2.0) * np.sin(phase)
-    return np.sqrt(2.0) * np.cos(phase)
 
 
 def dirichlet_precision(n: int) -> np.ndarray:
@@ -87,9 +79,17 @@ class ScalarReference:
 
     dim = 1
     quad_weight = 1.0
+    spec_name = "scalar"
 
     def __init__(self) -> None:
         self.mean0 = np.zeros(1)
+
+    def spec_fields(self) -> dict:
+        return {}
+
+    @classmethod
+    def from_spec_fields(cls, fields: dict[str, str]) -> "ScalarReference":
+        return cls()
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         return (a * b).sum(axis=-1)
@@ -114,37 +114,37 @@ class PeriodicReference:
     scale : float
         Overall covariance scale; the eigenvalue of wavenumber ``k`` is
         ``scale / (2 pi k)**2``.
-    n_modes : int, optional
-        Truncation of the expansion. Defaults to ``2 * ((n - 1) // 2)``,
-        i.e. every complete sine/cosine pair below the grid Nyquist
-        wavenumber. Larger values are rejected: the leftover Nyquist
-        cosine is not orthonormal under the discrete inner product.
 
-    The constant mode carries no variance and is excluded throughout:
-    fields produced and consumed here live in the mean-zero span of the
-    retained modes.
+    The expansion keeps ``n_modes = 2 * ((n - 1) // 2)`` modes: every
+    complete sine/cosine pair below the grid Nyquist wavenumber. The
+    leftover Nyquist cosine is not orthonormal under the discrete inner
+    product. The constant mode carries no variance and is excluded
+    throughout: fields produced and consumed here live in the mean-zero
+    span of the retained modes.
     """
 
-    def __init__(self, n: int, scale: float, n_modes: int | None = None) -> None:
+    spec_name = "periodic"
+
+    def __init__(self, n: int, scale: float) -> None:
         if n < 4:
             raise ValueError(f"need at least 4 grid points, got {n}")
-        max_modes = 2 * ((n - 1) // 2)
-        if n_modes is None:
-            n_modes = max_modes
-        if not 2 <= n_modes <= max_modes:
-            raise ValueError(
-                f"n_modes must lie in [2, {max_modes}] for an {n}-point grid, got {n_modes}"
-            )
         self.n = int(n)
         self.scale = float(scale)
-        self.n_modes = int(n_modes)
+        # number of complete (sin, cos) wavenumber pairs retained
+        self._pairs = (self.n - 1) // 2
+        self.n_modes = 2 * self._pairs
         self.h = 1.0 / n
         self.x = np.arange(n) / n
         self.mean0 = np.zeros(n)
         self.lam2 = fourier_eigenvalues(self.n_modes, self.scale)
         self.lam = np.sqrt(self.lam2)
-        # number of complete (sin, cos) wavenumber pairs retained
-        self._pairs = self.n_modes // 2 + self.n_modes % 2
+
+    def spec_fields(self) -> dict:
+        return {"n": self.n, "scale": self.scale}
+
+    @classmethod
+    def from_spec_fields(cls, fields: dict[str, str]) -> "PeriodicReference":
+        return cls(int(fields["n"]), float(fields["scale"]))
 
     @property
     def dim(self) -> int:
@@ -171,7 +171,7 @@ class PeriodicReference:
         out = np.empty(u.shape[:-1] + (2 * k_hi,), dtype=float)
         out[..., 0::2] = sin
         out[..., 1::2] = cos
-        return out[..., : self.n_modes]
+        return out
 
     def synth(self, v: np.ndarray) -> np.ndarray:
         """Evaluate the field with coefficient vector ``v`` on the grid."""
@@ -220,6 +220,8 @@ class BridgeReference:
         conditioned-diffusion problem passes the straight line ``t``.
     """
 
+    spec_name = "bridge"
+
     def __init__(self, n: int, mean0: np.ndarray | None = None) -> None:
         if n < 2:
             raise ValueError(f"need at least two interior nodes, got {n}")
@@ -236,6 +238,14 @@ class BridgeReference:
         if mean0.shape != (n,):
             raise ValueError(f"mean0 must have shape ({n},), got {mean0.shape}")
         self.mean0 = mean0
+
+    def spec_fields(self) -> dict:
+        return {"n": self.n, "mean0": self.mean0}
+
+    @classmethod
+    def from_spec_fields(cls, fields: dict[str, str]) -> "BridgeReference":
+        mean0 = _vector(fields["mean0"]) if "mean0" in fields else None
+        return cls(int(fields["n"]), mean0=mean0)
 
     @property
     def dim(self) -> int:

@@ -25,26 +25,28 @@ from klgauss import (
     ScalarReference,
     ScalarVariance,
     VariablePotential,
-    acceptance_lower_bound,
     estimate_dkl,
     estimate_gradients,
-    expected_acceptance,
     fit_chain,
     iact,
     project_spd,
-    reduced_discrepancy,
     reference_chain,
     rm_minimize,
     run_chain,
     sample_centered,
-    sample_double_well,
-    sample_ou_bridge,
     scalar_sigma_opt,
     synthesize_darcy_data,
     DarcyProblem,
     dirichlet_precision,
 )
 from klgauss.cli import Setup, load_config
+from oracles import (
+    acceptance_lower_bound,
+    expected_acceptance,
+    reduced_discrepancy,
+    sample_double_well,
+    sample_ou_bridge,
+)
 from test_mcmc import residual_potential
 
 

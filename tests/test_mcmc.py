@@ -23,9 +23,7 @@ from klgauss import (
     ScalarReference,
     ScalarVariance,
     VariablePotential,
-    acceptance_lower_bound,
     autocovariance,
-    expected_acceptance,
     fit_chain,
     iact,
     reference_chain,
@@ -33,6 +31,7 @@ from klgauss import (
     sample_centered,
     synthesize_darcy_data,
 )
+from oracles import acceptance_lower_bound, expected_acceptance
 
 
 def residual_potential(problem, spec):

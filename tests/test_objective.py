@@ -20,24 +20,27 @@ from klgauss import (
     VariablePotential,
     estimate_dkl,
     estimate_gradients,
-    reduced_discrepancy,
     sample_centered,
     scalar_acceptance_asymptote,
     scalar_dkl_analytic,
     scalar_sigma_opt,
 )
+from oracles import reduced_discrepancy
 
 
 def spec_at(m, sigma):
     return GaussianSpec(np.array([m]), ScalarVariance(sigma), ScalarReference())
 
 
-def test_reduced_discrepancy_definition():
-    spec = spec_at(0.2, 0.6)
-    problem = ScalarDoubleWell(0.1)
-    u = np.array([[0.3], [-0.9]])
-    want = problem.phi(u + spec.mean) - 0.5 * spec.cov.quad(spec.ref, u)
-    assert np.allclose(reduced_discrepancy(spec, problem, u), want)
+@pytest.mark.parametrize("family", ["scalar", "finite-rank", "constant", "variable"])
+def test_reduced_discrepancy_definition(family):
+    # the fit's route (phi_and_grad, Gamma coordinates) against phi and the family's quad
+    spec, problem = _every_family(periodic_n=16)[family]
+    u = sample_centered(spec, np.random.default_rng(16), 50)
+    want = reduced_discrepancy(spec, problem, u)
+    assert np.array_equal(estimate_gradients(spec, problem, u).delta0, want)
+    got = estimate_dkl(spec, problem, batch=u).discrepancy
+    assert got == pytest.approx(want.mean(), rel=1e-12, abs=1e-12)
 
 
 def test_estimate_requires_batch_or_sizes():
@@ -183,10 +186,10 @@ def test_acceptance_asymptote_values():
     assert np.all(np.diff(vals) > 0)
 
 
-def _every_family():
+def _every_family(periodic_n=32):
     """One (spec, problem) pair per covariance family, means off the reference's."""
     rng = np.random.default_rng(14)
-    ref = PeriodicReference(32, 1.0)
+    ref = PeriodicReference(periodic_n, 1.0)
     darcy = GaussianSpec(ref.synth(0.3 * rng.standard_normal(ref.n_modes)),
                          FiniteRank(np.array([[0.3, 0.05], [0.05, 0.2]])), ref)
     n, eps = 15, 0.2
@@ -196,7 +199,7 @@ def _every_family():
     diffusion = DiffusionProblem(eps, n)
     return {
         "scalar": (spec_at(0.2, 0.4), ScalarDoubleWell(0.05)),
-        "finite-rank": (darcy, DarcyProblem(32, 0.2, np.array([0.3, 0.9, 1.2, 1.6]))),
+        "finite-rank": (darcy, DarcyProblem(periodic_n, 0.2, np.array([0.3, 0.9, 1.2, 1.6]))),
         "constant": (GaussianSpec(mean, ConstantPotential(2.0, eps), bridge), diffusion),
         "variable": (GaussianSpec(mean, VariablePotential(1.0 + rng.random(n), eps), bridge),
                      diffusion),

@@ -11,9 +11,9 @@ from klgauss import (
     PeriodicReference,
     ScalarDoubleWell,
     darcy_true_field,
-    sample_double_well,
     synthesize_darcy_data,
 )
+from oracles import sample_double_well
 
 
 def g_inner(h, a, b):

@@ -9,8 +9,8 @@ from klgauss import (
     ScalarReference,
     dirichlet_precision,
     fourier_eigenvalues,
-    fourier_mode,
 )
+from oracles import fourier_mode
 
 
 def bridge_kernel(t):
@@ -72,7 +72,7 @@ def test_periodic_truncation_default_and_cap():
     ref = PeriodicReference(128, 1.0)
     assert ref.n_modes == 126
     assert PeriodicReference(8, 1.0).n_modes == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the truncation is not an option
         PeriodicReference(8, 1.0, n_modes=7)
     with pytest.raises(ValueError):
         PeriodicReference(3, 1.0)
@@ -182,24 +182,28 @@ def test_bridge_mean0_handling():
         BridgeReference(1)
 
 
-def padded_synth(ref, v):
+def padded_synth(n, v):
     """The zero-padded complex synthesis ``synth`` used to be, kept as its oracle."""
-    k_hi = ref.n_modes // 2 + ref.n_modes % 2
+    n_modes = v.shape[-1]
+    k_hi = n_modes // 2 + n_modes % 2
     full = np.zeros(v.shape[:-1] + (2 * k_hi,), dtype=float)
-    full[..., : ref.n_modes] = v
+    full[..., :n_modes] = v
     sin, cos = full[..., 0::2], full[..., 1::2]
-    spec = np.zeros(v.shape[:-1] + (ref.n // 2 + 1,), dtype=complex)
-    spec[..., 1 : k_hi + 1] = ref.n * (cos - 1j * sin) / np.sqrt(2.0)
-    return np.fft.irfft(spec, n=ref.n, axis=-1)
+    spec = np.zeros(v.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    spec[..., 1 : k_hi + 1] = n * (cos - 1j * sin) / np.sqrt(2.0)
+    return np.fft.irfft(spec, n=n, axis=-1)
 
 
 @pytest.mark.parametrize("n", [16, 17, 128, 129])
 @pytest.mark.parametrize("truncated", [False, True])
 @pytest.mark.parametrize("rows", [(), (1,), (100,)])
 def test_synth_is_bit_identical_to_padded_oracle(n, truncated, rows):
-    full_modes = 2 * ((n - 1) // 2)
-    ref = PeriodicReference(n, 1.5, n_modes=full_modes - 3 if truncated else None)
-    v = np.random.default_rng(n).standard_normal(rows + (ref.n_modes,))
+    # a truncated expansion has its top three coefficients zero; its field must
+    # be the oracle's synthesis of the kept coefficients alone, an odd count
+    ref = PeriodicReference(n, 1.5)
+    n_kept = ref.n_modes - 3 if truncated else ref.n_modes
+    v = np.zeros(rows + (ref.n_modes,))
+    v[..., :n_kept] = np.random.default_rng(n).standard_normal(rows + (n_kept,))
     got = ref.synth(v)
     assert got.shape == rows + (n,)
-    assert got.tobytes() == padded_synth(ref, v).tobytes()
+    assert got.tobytes() == padded_synth(n, v[..., :n_kept]).tobytes()

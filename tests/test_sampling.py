@@ -20,9 +20,9 @@ from klgauss import (
     dirichlet_precision,
     sample_centered,
     sample_finite_rank,
-    sample_ou_bridge,
     sample_tridiagonal_precision,
 )
+from oracles import sample_ou_bridge
 
 
 def ou_kernel(t, strength, eps):
